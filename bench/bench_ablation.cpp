@@ -73,7 +73,8 @@ void run_suite(const std::string& label, const Graph& g, Vertex source,
   t.columns({"variant", "|H|", "b(n)", "r(n)", "s1_added", "s2_added",
              "s1_leftover", "csets", "sec"});
   for (const auto& v : variants) {
-    const EpsilonResult res = build_epsilon_ftbfs(g, source, v.opts);
+    const EpsilonResult res =
+        detail::build_epsilon_ftbfs_impl(g, source, v.opts);
     t.row(v.name, res.stats.structure_edges, res.stats.backup,
           res.stats.reinforced, res.stats.s1_added_edges,
           res.stats.s2_added_edges + res.stats.s2_glue_added,

@@ -7,6 +7,7 @@
 //
 //   ./bench_baseline_ftbfs [--ns=256,...] [--seed=1]
 #include "bench/bench_util.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/ftbfs.hpp"
 
 using namespace ftb;
@@ -28,7 +29,8 @@ int main(int argc, char** argv) {
   for (const long long n : ns) {
     const auto lb = lb::build_single_source(static_cast<Vertex>(n), 0.5);
     Timer timer;
-    const FtBfsStructure h = build_ftbfs(lb.graph, lb.source);
+    const FtBfsStructure h =
+        api::build(lb.graph, {.sources = {lb.source}, .eps = 1}).structure;
     const double sec = timer.seconds();
     t.row("adversarial", n, lb.graph.num_edges(), h.num_edges(),
           static_cast<double>(h.num_edges()) /
@@ -40,7 +42,7 @@ int main(int argc, char** argv) {
   for (const long long n : ns) {
     const Graph g = bench::dense_random(static_cast<Vertex>(n), seed);
     Timer timer;
-    const FtBfsStructure h = build_ftbfs(g, 0);
+    const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
     const double sec = timer.seconds();
     t.row("dense-random", n, g.num_edges(), h.num_edges(),
           static_cast<double>(h.num_edges()) /

@@ -98,7 +98,7 @@ void BM_BaselineFtBfs(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const Graph g = bench::dense_random(n, 5);
   for (auto _ : state) {
-    const FtBfsStructure h = build_ftbfs(g, 0);
+    const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
     benchmark::DoNotOptimize(h.num_edges());
   }
   state.counters["n"] = static_cast<double>(n);
@@ -112,7 +112,7 @@ void BM_EpsilonFtBfs(benchmark::State& state) {
   EpsilonOptions opts;
   opts.eps = 1.0 / 3.0;
   for (auto _ : state) {
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+    const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
     benchmark::DoNotOptimize(res.stats.structure_edges);
   }
   state.counters["n"] = static_cast<double>(n);
@@ -126,7 +126,8 @@ void BM_EpsilonFtBfsAdversarial(benchmark::State& state) {
   EpsilonOptions opts;
   opts.eps = 1.0 / 3.0;
   for (auto _ : state) {
-    const EpsilonResult res = build_epsilon_ftbfs(lb.graph, lb.source, opts);
+    const EpsilonResult res =
+        detail::build_epsilon_ftbfs_impl(lb.graph, lb.source, opts);
     benchmark::DoNotOptimize(res.stats.structure_edges);
   }
   state.counters["n"] = static_cast<double>(n);
@@ -693,10 +694,9 @@ bool run_dual_scale_report(bench::JsonObject* out) {
   Timer t;
   const api::BuildResult pruned = api::build(g, spec);
   const double pruned_s = t.seconds();
-  api::BuildSpec ref_spec = spec;
-  ref_spec.unpruned_dual = true;
   t.restart();
-  const api::BuildResult unpruned = api::build(g, ref_spec);
+  const api::BuildResult unpruned =
+      api::detail::build(g, spec, {.unpruned_dual = true});
   const double unpruned_s = t.seconds();
   const double speedup = unpruned_s / pruned_s;
   const bool size_ok =
@@ -924,10 +924,9 @@ bool run_dual_report(bench::JsonObject* out) {
 
     // The unpruned PR 4 recursion: the differential referee and the
     // per-seed size budget.
-    api::BuildSpec ref_spec = spec;
-    ref_spec.unpruned_dual = true;
     t.restart();
-    const api::BuildResult ref = api::build(g, ref_spec);
+    const api::BuildResult ref =
+        api::detail::build(g, spec, {.unpruned_dual = true});
     const double build_unpruned_s = t.seconds();
     const bool size_ok = res.structure.num_edges() < ref.structure.num_edges();
     if (!size_ok) {
@@ -1491,8 +1490,8 @@ bool run_speedup_report() {
     EpsilonOptions ref_opts, opt_opts;
     ref_opts.eps = opt_opts.eps = eps;
     ref_opts.reference_kernel = true;
-    const EpsilonResult a = build_epsilon_ftbfs(g, 0, ref_opts);
-    const EpsilonResult b = build_epsilon_ftbfs(g, 0, opt_opts);
+    const EpsilonResult a = detail::build_epsilon_ftbfs_impl(g, 0, ref_opts);
+    const EpsilonResult b = detail::build_epsilon_ftbfs_impl(g, 0, opt_opts);
     if (a.structure.edges() != b.structure.edges() ||
         a.structure.reinforced() != b.structure.reinforced()) {
       identical = false;
@@ -1501,10 +1500,10 @@ bool run_speedup_report() {
     VertexFtBfsOptions vref, vopt;
     vref.reference_kernel = true;
     Timer vt;
-    const FtBfsStructure va = build_vertex_ftbfs(g, 0, vref);
+    const FtBfsStructure va = detail::build_vertex_ftbfs_impl(g, 0, vref);
     const double vsec_ref = vt.seconds();
     vt.restart();
-    const FtBfsStructure vb = build_vertex_ftbfs(g, 0, vopt);
+    const FtBfsStructure vb = detail::build_vertex_ftbfs_impl(g, 0, vopt);
     const double vsec_opt = vt.seconds();
     const bool videntical = va.edges() == vb.edges();
     if (!videntical) {
@@ -1553,10 +1552,12 @@ bool run_speedup_report() {
   ref_opts.eps = opt_opts.eps = eps;
   ref_opts.reference_kernel = true;
   Timer t;
-  const EpsilonResult full_ref = build_epsilon_ftbfs(g, 0, ref_opts);
+  const EpsilonResult full_ref =
+      detail::build_epsilon_ftbfs_impl(g, 0, ref_opts);
   const double sec_full_ref = t.seconds();
   t.restart();
-  const EpsilonResult full_opt = build_epsilon_ftbfs(g, 0, opt_opts);
+  const EpsilonResult full_opt =
+      detail::build_epsilon_ftbfs_impl(g, 0, opt_opts);
   const double sec_full_opt = t.seconds();
   const bool full_identical =
       full_ref.structure.edges() == full_opt.structure.edges() &&

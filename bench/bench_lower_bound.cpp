@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
     const auto lb = lb::build_single_source(n, eps);
     EpsilonOptions opts;
     opts.eps = eps;
-    const EpsilonResult res = build_epsilon_ftbfs(lb.graph, lb.source, opts);
+    const EpsilonResult res =
+        detail::build_epsilon_ftbfs_impl(lb.graph, lb.source, opts);
     const std::int64_t budget = lb.theorem_budget();
     const std::int64_t certified = lb.certified_min_backup(budget);
     const double n_pow = std::pow(static_cast<double>(n), 1.0 + eps);

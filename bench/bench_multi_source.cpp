@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     opts.eps = eps;
     Timer timer;
     const MultiSourceResult ms =
-        build_epsilon_ftmbfs(lb.graph, lb.sources, opts);
+        detail::build_epsilon_ftmbfs_impl(lb.graph, lb.sources, opts);
     const double sec = timer.seconds();
     const std::int64_t budget = lb.theorem_budget();
     const double norm = std::pow(static_cast<double>(K), 1.0 - eps) *

@@ -30,7 +30,7 @@ void run_on(const std::string& label, const Graph& g, Vertex source) {
   for (const double eps : eps_grid) {
     EpsilonOptions opts;
     opts.eps = eps;
-    const EpsilonResult uni = build_epsilon_ftbfs(g, source, opts);
+    const EpsilonResult uni = detail::build_epsilon_ftbfs_impl(g, source, opts);
     const std::int64_t r = uni.structure.num_reinforced();
     const std::int64_t gb = frontier.backup_at(
         std::min<std::int64_t>(r, static_cast<std::int64_t>(

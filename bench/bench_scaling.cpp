@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
       const auto lb = lb::build_single_source(static_cast<Vertex>(n), eps);
       EpsilonOptions opts;
       opts.eps = eps;
-      const EpsilonResult res = build_epsilon_ftbfs(lb.graph, lb.source, opts);
+      const EpsilonResult res =
+          detail::build_epsilon_ftbfs_impl(lb.graph, lb.source, opts);
       t.row(n, lb.graph.num_edges(), res.stats.backup, res.stats.reinforced,
             static_cast<double>(res.stats.backup) /
                 theorem_backup_bound(n, eps),
@@ -61,7 +62,8 @@ int main(int argc, char** argv) {
       const auto lb = lb::build_single_source(static_cast<Vertex>(n), 0.5);
       EpsilonOptions opts;
       opts.eps = eps_r;
-      const EpsilonResult res = build_epsilon_ftbfs(lb.graph, lb.source, opts);
+      const EpsilonResult res =
+          detail::build_epsilon_ftbfs_impl(lb.graph, lb.source, opts);
       t.row(n, lb.graph.num_edges(), res.stats.backup, res.stats.reinforced,
             theorem_reinforce_bound(n, eps_r), res.stats.seconds_total);
       xs.push_back(static_cast<double>(n));

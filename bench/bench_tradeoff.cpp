@@ -28,7 +28,7 @@ void run_on(const std::string& label, const Graph& g, Vertex source,
   for (const double eps : eps_grid) {
     EpsilonOptions opts;
     opts.eps = eps;
-    const EpsilonResult res = build_epsilon_ftbfs(g, source, opts);
+    const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, source, opts);
     const double b_bound = theorem_backup_bound(n, eps);
     const double r_bound = theorem_reinforce_bound(n, eps);
     t.row(eps, res.stats.threshold, res.stats.structure_edges,

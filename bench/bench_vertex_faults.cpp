@@ -8,6 +8,7 @@
 //
 //   ./bench_vertex_faults [--ns=256,512,1024,2048]
 #include "bench/bench_util.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 
@@ -38,9 +39,16 @@ int main(int argc, char** argv) {
         g = bench::dense_random(static_cast<Vertex>(n), 29);
       }
       Timer timer;
-      const FtBfsStructure eh = build_ftbfs(g, source);
-      const FtBfsStructure vh = build_vertex_ftbfs(g, source);
-      const FtBfsStructure dh = build_dual_ftbfs(g, source);
+      const FtBfsStructure eh =
+          api::build(g, {.sources = {source}, .eps = 1}).structure;
+      const FtBfsStructure vh =
+          api::build(g, {.fault_model = FaultClass::kVertex,
+                         .sources = {source}})
+              .structure;
+      const FtBfsStructure dh =
+          api::build(g, {.fault_model = FaultClass::kEither,
+                         .sources = {source}})
+              .structure;
       const double sec = timer.seconds();
       t.row(n, g.num_edges(), eh.num_edges(), vh.num_edges(), dh.num_edges(),
             static_cast<double>(dh.num_edges()) /

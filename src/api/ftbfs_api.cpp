@@ -37,49 +37,60 @@ void BuildSpec::validate(const Graph& g) const {
                     fault_model == FaultClass::kDual,
                 "invalid BuildSpec: unknown fault model (got "
                     << static_cast<int>(fault_model) << ")");
-  detail::check_sources(g, sources);
+  ftb::detail::check_sources(g, sources);
   if (fault_model == FaultClass::kEdge) {
-    detail::check_epsilon(eps);
+    ftb::detail::check_epsilon(eps);
   }
 }
 
-EpsilonOptions BuildSpec::epsilon_options() const {
+namespace {
+
+// The spec → pipeline-options mappers: the spec carries the (fault model,
+// ε, sources) triple and its production knobs, the referees the test-only
+// reroutes.
+
+EpsilonOptions epsilon_options(const BuildSpec& spec,
+                               const detail::Referees& referees) {
   EpsilonOptions opts;
-  opts.eps = eps;
-  opts.weight_seed = weight_seed;
-  opts.pool = pool;
-  opts.baseline_for_large_eps = baseline_for_large_eps;
-  opts.k_rounds_override = k_rounds_override;
-  opts.threshold_scale = threshold_scale;
-  opts.disable_s2_light_flush = disable_s2_light_flush;
-  opts.disable_s2_crossings = disable_s2_crossings;
-  opts.reference_kernel = reference_kernel;
-  opts.bit_parallel = bit_parallel;
+  opts.eps = spec.eps;
+  opts.weight_seed = spec.weight_seed;
+  opts.pool = spec.pool;
+  opts.reference_kernel = referees.reference_kernel;
+  opts.bit_parallel = !referees.scalar_lanes;
   return opts;
 }
 
-VertexFtBfsOptions BuildSpec::vertex_options() const {
+VertexFtBfsOptions vertex_options(const BuildSpec& spec,
+                                  const detail::Referees& referees) {
   VertexFtBfsOptions opts;
-  opts.weight_seed = weight_seed;
-  opts.pool = pool;
-  opts.reference_kernel = reference_kernel;
-  opts.bit_parallel = bit_parallel;
+  opts.weight_seed = spec.weight_seed;
+  opts.pool = spec.pool;
+  opts.reference_kernel = referees.reference_kernel;
+  opts.bit_parallel = !referees.scalar_lanes;
   return opts;
 }
 
-DualFtBfsOptions BuildSpec::dual_options() const {
+DualFtBfsOptions dual_options(const BuildSpec& spec,
+                              const detail::Referees& referees) {
   DualFtBfsOptions opts;
-  opts.weight_seed = weight_seed;
-  opts.pool = pool;
-  opts.reference_kernel = reference_kernel;
-  opts.bit_parallel = bit_parallel;
-  opts.unpruned_dual = unpruned_dual;
-  opts.site_dist_oracle = site_dist_oracle;
-  opts.dfs_schedule = dual_dfs_schedule;
+  opts.weight_seed = spec.weight_seed;
+  opts.pool = spec.pool;
+  opts.reference_kernel = referees.reference_kernel;
+  opts.bit_parallel = !referees.scalar_lanes;
+  opts.unpruned_dual = referees.unpruned_dual;
+  opts.site_dist_oracle = spec.site_dist_oracle;
+  opts.dfs_schedule = spec.dual_dfs_schedule;
   return opts;
 }
+
+}  // namespace
 
 BuildResult build(const Graph& g, const BuildSpec& spec) {
+  return detail::build(g, spec, {});
+}
+
+BuildResult detail::build(const Graph& g, const BuildSpec& spec,
+                          const Referees& referees) {
   spec.validate(g);
   Timer total;
   std::optional<FtBfsStructure> structure;
@@ -91,44 +102,44 @@ BuildResult build(const Graph& g, const BuildSpec& spec) {
   switch (spec.fault_model) {
     case FaultClass::kEdge: {
       if (!multi) {
-        EpsilonResult res = detail::build_epsilon_ftbfs_impl(
-            g, spec.sources.front(), spec.epsilon_options());
+        EpsilonResult res = ftb::detail::build_epsilon_ftbfs_impl(
+            g, spec.sources.front(), epsilon_options(spec, referees));
         per_source.push_back(res.stats);
         structure.emplace(std::move(res.structure));
         break;
       }
-      MultiSourceResult ms = detail::build_epsilon_ftmbfs_impl(
-          g, spec.sources, spec.epsilon_options());
+      MultiSourceResult ms = ftb::detail::build_epsilon_ftmbfs_impl(
+          g, spec.sources, epsilon_options(spec, referees));
       per_source = std::move(ms.per_source);
       structure.emplace(std::move(ms.structure));
       break;
     }
     case FaultClass::kVertex: {
       if (!multi) {
-        structure.emplace(detail::build_vertex_ftbfs_impl(
-            g, spec.sources.front(), spec.vertex_options()));
+        structure.emplace(ftb::detail::build_vertex_ftbfs_impl(
+            g, spec.sources.front(), vertex_options(spec, referees)));
         break;
       }
-      MultiSourceResult ms = detail::build_vertex_ftmbfs_impl(
-          g, spec.sources, spec.vertex_options());
+      MultiSourceResult ms = ftb::detail::build_vertex_ftmbfs_impl(
+          g, spec.sources, vertex_options(spec, referees));
       structure.emplace(std::move(ms.structure));
       break;
     }
     case FaultClass::kEither: {
       if (!multi) {
-        structure.emplace(detail::build_either_ftbfs_impl(
-            g, spec.sources.front(), spec.vertex_options()));
+        structure.emplace(ftb::detail::build_either_ftbfs_impl(
+            g, spec.sources.front(), vertex_options(spec, referees)));
         break;
       }
-      MultiSourceResult ms = detail::build_either_ftmbfs_impl(
-          g, spec.sources, spec.vertex_options());
+      MultiSourceResult ms = ftb::detail::build_either_ftmbfs_impl(
+          g, spec.sources, vertex_options(spec, referees));
       structure.emplace(std::move(ms.structure));
       break;
     }
     case FaultClass::kDual: {
       if (!multi) {
-        DualBuildResult r = detail::build_dual_failure_ftbfs_impl(
-            g, spec.sources.front(), spec.dual_options());
+        DualBuildResult r = ftb::detail::build_dual_failure_ftbfs_impl(
+            g, spec.sources.front(), dual_options(spec, referees));
         structure.emplace(std::move(r.structure));
         dual_tables.push_back(std::move(r.tables));
         if (spec.site_dist_oracle) {
@@ -136,8 +147,8 @@ BuildResult build(const Graph& g, const BuildSpec& spec) {
         }
         break;
       }
-      DualMultiSourceResult r = detail::build_dual_failure_ftmbfs_impl(
-          g, spec.sources, spec.dual_options());
+      DualMultiSourceResult r = ftb::detail::build_dual_failure_ftmbfs_impl(
+          g, spec.sources, dual_options(spec, referees));
       structure.emplace(std::move(r.structure));
       dual_tables = std::move(r.per_source);
       dual_site_dist = std::move(r.per_source_site_dist);
@@ -302,8 +313,7 @@ struct Session::Impl {
        std::vector<std::string> load_drops = {},
        std::vector<DualSiteDistTable> site_dist = {},
        bool want_site_dist = false,
-       std::vector<std::string> accel_drops = {},
-       bool bit_parallel = true, bool dual_dfs_schedule = true)
+       std::vector<std::string> accel_drops = {})
       : g(&graph),
         model(h.fault_class()),
         sources(std::move(srcs)),
@@ -316,7 +326,7 @@ struct Session::Impl {
         degradation(std::move(load_drops)),
         accel_notes(std::move(accel_drops)) {
     trees.reserve(sources.size());
-    if (bit_parallel && sources.size() >= 2) {
+    if (sources.size() >= 2) {
       // One fused kernel sweep rebuilds every per-source canonical label
       // set; the adoption ctor below is bit-identical to the scalar
       // per-source rebuild, so the tree-union check still guards the
@@ -387,10 +397,9 @@ struct Session::Impl {
         fresh.reserve(trees.size());
         for (const BfsTree& t : trees) {
           DualSiteDistTable sd;
-          fresh.push_back(detail::build_dual_site_table(
+          fresh.push_back(ftb::detail::build_dual_site_table(
               t, pool, /*reference_kernel=*/false, nullptr,
-              /*unpruned=*/false, need_sd ? &sd : nullptr, bit_parallel,
-              dual_dfs_schedule));
+              /*unpruned=*/false, need_sd ? &sd : nullptr));
           if (need_sd) dual_site_dist.push_back(std::move(sd));
         }
         if (need_tables) {
@@ -635,9 +644,7 @@ Session Session::deploy(const Graph& g, BuildResult result) {
       g, std::move(result.structure), std::move(result.sources),
       result.spec.weight_seed, result.spec.pool,
       std::move(result.dual_tables), std::vector<std::string>{},
-      std::move(result.dual_site_dist), result.spec.site_dist_oracle,
-      std::vector<std::string>{}, result.spec.bit_parallel,
-      result.spec.dual_dfs_schedule));
+      std::move(result.dual_site_dist), result.spec.site_dist_oracle));
 }
 
 Session Session::load(const Graph& g, const std::string& path,
@@ -662,8 +669,7 @@ Session Session::load(const Graph& g, const std::string& path,
   return Session(std::make_shared<const Impl>(
       g, std::move(h), std::move(sources), cfg.weight_seed, cfg.pool,
       std::move(tables), std::move(degrade_drops), std::move(site_dist),
-      cfg.site_dist_oracle, std::move(accel_drops), cfg.bit_parallel,
-      cfg.dual_dfs_schedule));
+      cfg.site_dist_oracle, std::move(accel_drops)));
 }
 
 void Session::save(const std::string& path) const {

@@ -6,10 +6,10 @@
 // template documented as "NOT thread-safe". This header replaces all of
 // that with two nouns:
 //
-//   * BuildSpec — the full parameterization (fault model × ε × sources ×
-//     tuning knobs), validated up front with one CheckError message shape
-//     ("invalid BuildSpec: …") shared by the API, the legacy wrappers and
-//     the CLI. `build(graph, spec)` dispatches to the right pipeline:
+//   * BuildSpec — the full parameterization (fault model × ε × sources),
+//     validated up front with one CheckError message shape ("invalid
+//     BuildSpec: …") shared by the API, the pipeline impls and the CLI.
+//     `build(graph, spec)` dispatches to the right pipeline:
 //
 //         fault_model   sources   pipeline
 //         kEdge         1         ε FT-BFS   (S0→S1/S2→F; ε = 0 reinforced
@@ -37,10 +37,10 @@
 //     call query() on one Session concurrently (enforced by the TSan CI
 //     job over the concurrency-tagged tests).
 //
-// The legacy entry points (build_ftbfs, build_epsilon_ftbfs,
-// build_vertex_ftbfs, build_dual_ftbfs, build_epsilon_ftmbfs,
-// build_vertex_ftmbfs) remain as deprecated thin wrappers; a differential
-// test pins `build()` byte-identical to each of them.
+// build() is the one production build path. The differential referees
+// (reference kernels, scalar σ-lanes, the unpruned dual recursion) are test
+// equipment: they are reachable only through detail::build and its
+// detail::Referees switches, and never change a served answer.
 #pragma once
 
 #include <cstdint>
@@ -52,15 +52,14 @@
 #include "src/core/dual_fault.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/structure.hpp"
-#include "src/core/vertex_ftbfs.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace ftb::api {
 
 /// The full parameterization of one build: which failures the structure
 /// must survive, for which sources, at which point of the reinforcement-
-/// backup tradeoff, plus tuning knobs. Defaults build a single-source
-/// edge-fault ε = 0.25 structure.
+/// backup tradeoff. Defaults build a single-source edge-fault ε = 0.25
+/// structure.
 struct BuildSpec {
   /// Failure model the structure insures against.
   FaultClass fault_model = FaultClass::kEdge;
@@ -74,26 +73,6 @@ struct BuildSpec {
   /// needs to rebuild the same canonical trees when loading from disk).
   std::uint64_t weight_seed = 0x5EED0001ULL;
   ThreadPool* pool = nullptr;  // nullptr = global pool
-
-  // ---- ε pipeline tuning knobs (see EpsilonOptions for semantics) -------
-  bool baseline_for_large_eps = true;
-  std::int32_t k_rounds_override = 0;
-  double threshold_scale = 1.0;
-  bool disable_s2_light_flush = false;
-  bool disable_s2_crossings = false;
-  /// Run the naive reference kernels (differential testing / bench
-  /// baseline; output is bit-identical either way).
-  bool reference_kernel = false;
-  /// Fuse multi-source canonical-tree builds (and the unpruned dual's
-  /// per-site punctured rebuilds) into bit-parallel kernel sweeps. Output
-  /// is bit-identical either way; off is the scalar escape hatch for
-  /// differential testing. Single-source non-dual builds ignore it.
-  bool bit_parallel = true;
-  /// Dual model only: build the unpruned PR 4 recursion (full punctured
-  /// structure per first-failure site) instead of the segment-pruned,
-  /// prefix-reusing default. The unpruned build is the differential
-  /// referee: strictly larger structure, same served answers.
-  bool unpruned_dual = false;
   /// Dual model only: also harvest the site-local distance oracle
   /// (per-site replacement-distance rows over C_f) while the punctured
   /// engines are alive, so a deployed Session answers EVERY in-model pair
@@ -107,20 +86,12 @@ struct BuildSpec {
   /// independent full label copy. Off is the independent-rebase referee;
   /// structures, pair tables and site-dist rows are bit-identical either
   /// way (pinned by tests and the dual_dfs_schedule bench gate).
-  /// FTBFS_DUAL_DFS_SCHEDULE=0 flips the process default.
-  bool dual_dfs_schedule = dual_dfs_schedule_default();
+  bool dual_dfs_schedule = true;
 
   /// Throws CheckError ("invalid BuildSpec: …") on NaN / out-of-range ε
   /// or an empty / out-of-range / duplicated source set. build() and
   /// Session::open() call this first.
   void validate(const Graph& g) const;
-
-  /// The EpsilonOptions this spec maps to (edge-model dispatch).
-  EpsilonOptions epsilon_options() const;
-  /// The VertexFtBfsOptions this spec maps to (vertex/either dispatch).
-  VertexFtBfsOptions vertex_options() const;
-  /// The DualFtBfsOptions this spec maps to (dual-failure dispatch).
-  DualFtBfsOptions dual_options() const;
 };
 
 /// What one build() returns: the structure plus construction telemetry.
@@ -149,8 +120,34 @@ struct BuildResult {
 
 /// THE build entry point: validates `spec` and dispatches to the pipeline
 /// the (fault model, source count) cell selects — see the table in the
-/// file comment. Byte-identical to the legacy entry point it replaces.
+/// file comment. Equivalent to detail::build(g, spec, {}).
 BuildResult build(const Graph& g, const BuildSpec& spec);
+
+namespace detail {
+
+/// The differential referees, as test equipment: each switch reroutes the
+/// build through a slower or larger construction whose served answers are
+/// bit-identical to the production path. Tests and benches pin build()
+/// against them; no production caller sets one.
+struct Referees {
+  /// Run every engine on the naive reference kernels (structure and pair
+  /// tables are byte-identical).
+  bool reference_kernel = false;
+  /// Build σ ≥ 2 canonical trees (and the unpruned dual's per-site
+  /// punctured rebuilds) with scalar passes instead of the fused
+  /// bit-parallel kernel (byte-identical).
+  bool scalar_lanes = false;
+  /// Dual model only: the unpruned recursion (full punctured structure per
+  /// first-failure site). Strictly larger structure, same served answers.
+  bool unpruned_dual = false;
+};
+
+/// build() under the given referees: the one dispatch switch both entry
+/// points share.
+BuildResult build(const Graph& g, const BuildSpec& spec,
+                  const Referees& referees);
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // The batched query plane.
@@ -290,16 +287,6 @@ struct SessionConfig {
   /// the graph when absent or dropped. Off by default — loading then
   /// attaches a shipped section for free but never pays a rebuild.
   bool site_dist_oracle = false;
-  /// Fuse the per-source canonical-tree rebuilds (and any dual pair-table
-  /// rebuild this session has to pay) into bit-parallel kernel sweeps.
-  /// Served answers are bit-identical either way; off is the scalar
-  /// escape hatch for differential testing.
-  bool bit_parallel = true;
-  /// Run any dual pair-table rebuild this session has to pay on the
-  /// DFS-order workspace schedule (BuildSpec::dual_dfs_schedule semantics;
-  /// rebuilt tables are bit-identical either way).
-  /// FTBFS_DUAL_DFS_SCHEDULE=0 flips the process default.
-  bool dual_dfs_schedule = dual_dfs_schedule_default();
 };
 
 /// What Session::fsck() found. `ok` means every audited invariant held;

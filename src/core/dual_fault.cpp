@@ -6,9 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
-#include <string_view>
 
 #include "src/core/dist_sweep.hpp"
 #include "src/core/validate.hpp"
@@ -17,18 +15,6 @@
 #include "src/util/rng.hpp"
 
 namespace ftb {
-
-bool dual_dfs_schedule_default() {
-  // Read once per process: the knob exists so CI can run the whole dual
-  // suite under either schedule without plumbing a flag through every
-  // default-constructed BuildSpec/SessionConfig/DualFtBfsOptions. Explicit
-  // assignments to those fields always win over this default.
-  static const bool on = [] {
-    const char* env = std::getenv("FTBFS_DUAL_DFS_SCHEDULE");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  return on;
-}
 
 bool DualSiteTable::subset_contains(std::size_t i, EdgeId e) const {
   const auto sub = subset(i);

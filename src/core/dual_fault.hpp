@@ -154,12 +154,6 @@ struct DualSiteDistTable {
   std::size_t num_slots() const { return parent_edge.size(); }
 };
 
-/// The process-wide default for the DFS-order site schedule:
-/// FTBFS_DUAL_DFS_SCHEDULE=0 forces it off, =1 (or unset) on — read once.
-/// CI's sanitizer jobs run the dual suites under both settings; explicit
-/// assignments to the dfs_schedule knobs always win over the env default.
-bool dual_dfs_schedule_default();
-
 struct DualFtBfsOptions {
   std::uint64_t weight_seed = 0x5EED0001ULL;
   ThreadPool* pool = nullptr;  // nullptr = global pool
@@ -189,8 +183,7 @@ struct DualFtBfsOptions {
   /// schedule, kept as the differential referee: structures, pair tables
   /// and site-dist rows are bit-identical under both schedules. The
   /// unpruned referee ignores the knob (nothing to rebase there).
-  /// Defaults on; FTBFS_DUAL_DFS_SCHEDULE=0 flips the process default.
-  bool dfs_schedule = dual_dfs_schedule_default();
+  bool dfs_schedule = true;
   /// Internal fusion seam: adopt these already-computed canonical labels
   /// for T0 (see EpsilonOptions::prebuilt_sp). Must outlive the call.
   const CanonicalSp* prebuilt_sp = nullptr;

@@ -436,9 +436,4 @@ EpsilonResult detail::build_epsilon_ftbfs_impl(const Graph& g, Vertex source,
   return EpsilonResult{std::move(h), st};
 }
 
-EpsilonResult build_epsilon_ftbfs(const Graph& g, Vertex source,
-                                  const EpsilonOptions& opts) {
-  return detail::build_epsilon_ftbfs_impl(g, source, opts);
-}
-
 }  // namespace ftb

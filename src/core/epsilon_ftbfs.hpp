@@ -31,7 +31,6 @@
 #include <cstdint>
 
 #include "src/core/structure.hpp"
-#include "src/util/check.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace ftb {
@@ -121,13 +120,6 @@ namespace detail {
 EpsilonResult build_epsilon_ftbfs_impl(const Graph& g, Vertex source,
                                        const EpsilonOptions& opts);
 }  // namespace detail
-
-/// Builds the ε FT-BFS structure for (g, source).
-/// Deprecated: use ftb::api::build(graph, BuildSpec) — the facade reaches
-/// this pipeline with fault_model = kEdge and a single source.
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec)")
-EpsilonResult build_epsilon_ftbfs(const Graph& g, Vertex source,
-                                  const EpsilonOptions& opts = {});
 
 /// Theorem 3.1's backup bound min{1/ε·n^{1+ε}·log n, n^{3/2}} (the Õ
 /// envelope benches normalize against).

@@ -30,26 +30,4 @@ FtBfsStructure detail::build_ftbfs_impl(const Graph& g, Vertex source,
   return build_ftbfs(engine);
 }
 
-FtBfsStructure detail::build_reinforced_tree_impl(const Graph& g,
-                                                  Vertex source,
-                                                  const FtBfsOptions& opts) {
-  detail::check_source(g, source);
-  const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
-  const BfsTree tree(g, weights, source);
-  std::vector<EdgeId> edges = tree.tree_edges();
-  std::vector<EdgeId> reinforced = tree.tree_edges();
-  return FtBfsStructure(g, source, std::move(edges), std::move(reinforced),
-                        tree.tree_edges());
-}
-
-FtBfsStructure build_ftbfs(const Graph& g, Vertex source,
-                           const FtBfsOptions& opts) {
-  return detail::build_ftbfs_impl(g, source, opts);
-}
-
-FtBfsStructure build_reinforced_tree(const Graph& g, Vertex source,
-                                     const FtBfsOptions& opts) {
-  return detail::build_reinforced_tree_impl(g, source, opts);
-}
-
 }  // namespace ftb

@@ -11,7 +11,6 @@
 
 #include "src/core/replacement.hpp"
 #include "src/core/structure.hpp"
-#include "src/util/check.hpp"
 
 namespace ftb {
 
@@ -30,31 +29,16 @@ struct FtBfsOptions {
 };
 
 namespace detail {
-/// Pipeline implementations the ftb::api facade dispatches to. The ESA'13
-/// baseline is the ε ≥ 1/2 branch of the tradeoff, so the facade reaches it
-/// through the ε pipeline; these impls also back the legacy wrappers below.
+/// The ESA'13 baseline pipeline. The ftb::api facade reaches the same
+/// structure through the ε pipeline's ε ≥ 1/2 branch; the either union
+/// (vertex_ftbfs.hpp) composes on this impl directly.
 FtBfsStructure build_ftbfs_impl(const Graph& g, Vertex source,
                                 const FtBfsOptions& opts);
-FtBfsStructure build_reinforced_tree_impl(const Graph& g, Vertex source,
-                                          const FtBfsOptions& opts);
 }  // namespace detail
 
-/// Builds the O(n^{3/2})-edge FT-BFS structure for (g, source).
-/// Deprecated: use ftb::api::build(graph, BuildSpec) with fault_model =
-/// kEdge and eps = 1 (Theorem 3.1's baseline branch is byte-identical).
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec) with eps = 1")
-FtBfsStructure build_ftbfs(const Graph& g, Vertex source,
-                           const FtBfsOptions& opts = {});
-
-/// Same, reusing an already-built replacement-path engine. Not deprecated:
-/// this is the S0-reuse composition point internal pipelines build on.
+/// The baseline structure H = T0 ∪ {LastE(P_{v,e}) : ⟨v,e⟩ uncovered},
+/// reusing an already-built replacement-path engine: the S0-reuse
+/// composition point internal pipelines build on.
 FtBfsStructure build_ftbfs(const ReplacementPathEngine& engine);
-
-/// The trivial ε = 0 end of the tradeoff: H = T0 with every tree edge
-/// reinforced (b = 0, r = n−1). Useful as a comparison point in benches.
-/// Deprecated: use ftb::api::build(graph, BuildSpec) with eps = 0.
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec) with eps = 0")
-FtBfsStructure build_reinforced_tree(const Graph& g, Vertex source,
-                                     const FtBfsOptions& opts = {});
 
 }  // namespace ftb

@@ -125,18 +125,6 @@ MultiSourceResult detail::build_either_ftmbfs_impl(
   return MultiSourceResult{sources, std::move(merged), {}};
 }
 
-MultiSourceResult build_epsilon_ftmbfs(const Graph& g,
-                                       const std::vector<Vertex>& sources,
-                                       const EpsilonOptions& opts) {
-  return detail::build_epsilon_ftmbfs_impl(g, sources, opts);
-}
-
-MultiSourceResult build_vertex_ftmbfs(const Graph& g,
-                                      const std::vector<Vertex>& sources,
-                                      const VertexFtBfsOptions& opts) {
-  return detail::build_vertex_ftmbfs_impl(g, sources, opts);
-}
-
 std::int64_t verify_multi_source(const Graph& g, const MultiSourceResult& ms,
                                  std::int64_t max_failures_per_source) {
   std::int64_t violations = 0;

@@ -32,8 +32,8 @@ struct MultiSourceResult {
 };
 
 namespace detail {
-/// Union pipeline implementations the ftb::api facade dispatches to; they
-/// also back the legacy wrappers below. Validate through validate.hpp.
+/// Union pipeline implementations the ftb::api facade dispatches to.
+/// Validate through validate.hpp.
 MultiSourceResult build_epsilon_ftmbfs_impl(const Graph& g,
                                             const std::vector<Vertex>& sources,
                                             const EpsilonOptions& opts);
@@ -47,23 +47,6 @@ MultiSourceResult build_either_ftmbfs_impl(const Graph& g,
                                            const std::vector<Vertex>& sources,
                                            const VertexFtBfsOptions& opts);
 }  // namespace detail
-
-/// Builds the union ε FT-MBFS over `sources` (all with the same ε/options).
-/// Deprecated: use ftb::api::build(graph, BuildSpec) with several sources.
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec) with several sources")
-MultiSourceResult build_epsilon_ftmbfs(const Graph& g,
-                                       const std::vector<Vertex>& sources,
-                                       const EpsilonOptions& opts = {});
-
-/// Builds the union vertex-fault FT-MBFS over `sources` (§5's union
-/// pattern applied to the ESA'13 vertex baseline): for every s ∈ S and
-/// every failing vertex x ∉ {s}, dist(s,v,H\{x}) = dist(s,v,G\{x}).
-/// Deprecated: use ftb::api::build(graph, BuildSpec) with several sources
-/// and fault_model = kVertex.
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec) with several sources")
-MultiSourceResult build_vertex_ftmbfs(const Graph& g,
-                                      const std::vector<Vertex>& sources,
-                                      const VertexFtBfsOptions& opts = {});
 
 /// Verifies the multi-source edge contract (per-source verify_structure on
 /// the union edge set). Returns the number of violations (0 = correct).

@@ -55,16 +55,6 @@ FtBfsStructure detail::build_either_ftbfs_impl(const Graph& g, Vertex source,
                         FaultClass::kEither);
 }
 
-FtBfsStructure build_vertex_ftbfs(const Graph& g, Vertex source,
-                                  const VertexFtBfsOptions& opts) {
-  return detail::build_vertex_ftbfs_impl(g, source, opts);
-}
-
-FtBfsStructure build_dual_ftbfs(const Graph& g, Vertex source,
-                                const VertexFtBfsOptions& opts) {
-  return detail::build_either_ftbfs_impl(g, source, opts);
-}
-
 std::int64_t verify_vertex_structure(const FtBfsStructure& h,
                                      std::int64_t max_failures,
                                      ThreadPool* pool_ptr) {

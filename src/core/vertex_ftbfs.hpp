@@ -24,7 +24,6 @@
 
 #include "src/core/fault_model.hpp"
 #include "src/core/structure.hpp"
-#include "src/util/check.hpp"
 
 namespace ftb {
 
@@ -49,8 +48,8 @@ struct VertexFtBfsOptions {
 };
 
 namespace detail {
-/// Pipeline implementations the ftb::api facade dispatches to; they also
-/// back the legacy wrappers below. Validate through validate.hpp.
+/// Pipeline implementations the ftb::api facade dispatches to. Validate
+/// through validate.hpp.
 FtBfsStructure build_vertex_ftbfs_impl(const Graph& g, Vertex source,
                                        const VertexFtBfsOptions& opts);
 /// The "either" union: one structure surviving ONE failure of either kind
@@ -61,28 +60,11 @@ FtBfsStructure build_either_ftbfs_impl(const Graph& g, Vertex source,
                                        const VertexFtBfsOptions& opts);
 }  // namespace detail
 
-/// The O(n^{3/2}) vertex-fault FT-BFS baseline:
-/// H = T0 ∪ {LastE(P_{v,x}) : ⟨v,x⟩ uncovered}.
-/// Deprecated: use ftb::api::build(graph, BuildSpec) with fault_model =
-/// kVertex.
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec) with kVertex")
-FtBfsStructure build_vertex_ftbfs(const Graph& g, Vertex source,
-                                  const VertexFtBfsOptions& opts = {});
-
-/// Same, reusing an already-built vertex-fault engine. Not deprecated: this
-/// is the S0-reuse composition point internal pipelines build on.
+/// The O(n^{3/2}) vertex-fault FT-BFS baseline
+/// H = T0 ∪ {LastE(P_{v,x}) : ⟨v,x⟩ uncovered}, reusing an already-built
+/// vertex-fault engine: the S0-reuse composition point internal pipelines
+/// build on.
 FtBfsStructure build_vertex_ftbfs(const VertexReplacementEngine& engine);
-
-/// Joint structure tolerating one edge OR one vertex failure: the union of
-/// build_ftbfs and build_vertex_ftbfs (edge failures reduce to this paper;
-/// vertex failures to the module above). Despite the historical name this
-/// is the single-failure "either" model (tagged FaultClass::kEither) — the
-/// TWO-simultaneous-failure structure is BuildSpec{fault_model = kDual}.
-/// Deprecated: use ftb::api::build(graph, BuildSpec) with fault_model =
-/// kEither (or kDual for genuine dual failures).
-FTB_DEPRECATED("use ftb::api::build(graph, BuildSpec) with kEither")
-FtBfsStructure build_dual_ftbfs(const Graph& g, Vertex source,
-                                const VertexFtBfsOptions& opts = {});
 
 /// Exhaustive vertex-failure verification: BFS of G\{x} vs H\{x} for every
 /// non-source x. Returns the number of (x, v) distance violations.

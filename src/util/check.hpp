@@ -54,14 +54,3 @@ namespace detail {
 #else
 #define FTB_DCHECK(cond) FTB_CHECK(cond)
 #endif
-
-// FTB_DEPRECATED marks the legacy per-model build_* entry points, which are
-// thin wrappers over ftb::api::build / ftb::api::Session. The attribute is
-// opt-in (define FTB_ENABLE_DEPRECATION_WARNINGS, or configure with
-// -DFTB_DEPRECATION_WARNINGS=ON) so that existing callers keep compiling
-// clean under -Werror while migrations are in flight.
-#ifdef FTB_ENABLE_DEPRECATION_WARNINGS
-#define FTB_DEPRECATED(msg) [[deprecated(msg)]]
-#else
-#define FTB_DEPRECATED(msg)
-#endif

@@ -1,5 +1,6 @@
 #include "src/util/options.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <sstream>
@@ -43,7 +44,8 @@ double parse_double_strict(const std::string& key, const std::string& v) {
 
 }  // namespace
 
-Options::Options(int argc, char** argv) {
+Options::Options(int argc, char** argv, bool env_fallback)
+    : env_fallback_(env_fallback) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
@@ -57,10 +59,21 @@ Options::Options(int argc, char** argv) {
   }
 }
 
+std::string Options::first_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& kv : kv_) {
+    if (std::find(known.begin(), known.end(), kv.first) == known.end()) {
+      return "--" + kv.first;
+    }
+  }
+  return "";
+}
+
 std::string Options::lookup(const std::string& key) const {
   for (const auto& [k, v] : kv_) {
     if (k == key) return v;
   }
+  if (!env_fallback_) return "";
   std::string env = "FTBFS_";
   for (char c : key) env += static_cast<char>(std::toupper(c));
   if (const char* e = std::getenv(env.c_str())) return e;

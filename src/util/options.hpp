@@ -8,17 +8,27 @@
 //   FTBFS_N=4096 ./bench_tradeoff            # env var fallback
 //
 // Precedence: command line > environment (FTBFS_<KEY> upper-cased) > default.
+// The CLI reads argv only (env_fallback = false) and refuses any flag its
+// subcommand does not know (first_unknown).
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ftb {
 
-/// Parses `--key=value` arguments with environment-variable fallback.
+/// Parses `--key=value` arguments, with environment-variable fallback
+/// unless `env_fallback` is false.
 class Options {
  public:
-  Options(int argc, char** argv);
+  Options(int argc, char** argv, bool env_fallback = true);
+
+  /// The first flag on the command line whose key is not in `known`,
+  /// spelled as "--key"; "" when every key is known.
+  std::string first_unknown(
+      std::initializer_list<std::string_view> known) const;
 
   /// True if `--key` or `--key=...` was passed.
   bool has(const std::string& key) const;
@@ -39,6 +49,7 @@ class Options {
   std::string lookup(const std::string& key) const;
 
   std::vector<std::pair<std::string, std::string>> kv_;
+  bool env_fallback_;
 };
 
 }  // namespace ftb

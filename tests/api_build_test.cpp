@@ -1,18 +1,20 @@
-// api_build_test.cpp — the facade-vs-legacy differential suite.
+// api_build_test.cpp — the facade-vs-referee differential suite.
 //
-// ftb::api::build(graph, BuildSpec) must be byte-identical to the legacy
-// entry point each (fault model, ε, source count) cell replaces: same
-// edges, same reinforced set, same tree edges, same fault tag. Plus the
-// shared "invalid BuildSpec" validation shape and the Session save/load
-// round trip (structure_io v3 keeps the multi-source set).
+// ftb::api::build(graph, BuildSpec) must be byte-identical to the same build
+// under each byte-identical differential referee (api::detail::build with
+// the reference kernels, then with scalar σ-lanes) in every (fault model ×
+// source count) cell: same edges, same reinforced set, same tree edges, same
+// fault tag, same ε telemetry and dual pair tables. Plus the shared "invalid
+// BuildSpec" validation shape and the Session save/load round trip
+// (structure_io v3 keeps the multi-source set).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <sstream>
 
 #include "src/api/ftbfs_api.hpp"
-#include "src/core/ftbfs.hpp"
 #include "src/core/multi_source.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/generators.hpp"
@@ -22,13 +24,26 @@
 namespace ftb {
 namespace {
 
-void expect_identical(const FtBfsStructure& a, const FtBfsStructure& b,
+void expect_identical(const api::BuildResult& a, const api::BuildResult& b,
                       const std::string& what) {
-  EXPECT_EQ(a.edges(), b.edges()) << what;
-  EXPECT_EQ(a.reinforced(), b.reinforced()) << what;
-  EXPECT_EQ(a.tree_edges(), b.tree_edges()) << what;
-  EXPECT_EQ(a.fault_class(), b.fault_class()) << what;
-  EXPECT_EQ(a.source(), b.source()) << what;
+  EXPECT_EQ(a.structure.edges(), b.structure.edges()) << what;
+  EXPECT_EQ(a.structure.reinforced(), b.structure.reinforced()) << what;
+  EXPECT_EQ(a.structure.tree_edges(), b.structure.tree_edges()) << what;
+  EXPECT_EQ(a.structure.fault_class(), b.structure.fault_class()) << what;
+  EXPECT_EQ(a.structure.source(), b.structure.source()) << what;
+  EXPECT_EQ(a.sources, b.sources) << what;
+  ASSERT_EQ(a.per_source.size(), b.per_source.size()) << what;
+  for (std::size_t i = 0; i < a.per_source.size(); ++i) {
+    EXPECT_EQ(a.per_source[i].structure_edges, b.per_source[i].structure_edges)
+        << what;
+    EXPECT_EQ(a.per_source[i].reinforced, b.per_source[i].reinforced) << what;
+  }
+  ASSERT_EQ(a.dual_tables.size(), b.dual_tables.size()) << what;
+  for (std::size_t i = 0; i < a.dual_tables.size(); ++i) {
+    EXPECT_TRUE(a.dual_tables[i].sites == b.dual_tables[i].sites) << what;
+    EXPECT_EQ(a.dual_tables[i].offsets, b.dual_tables[i].offsets) << what;
+    EXPECT_EQ(a.dual_tables[i].edge_pool, b.dual_tables[i].edge_pool) << what;
+  }
 }
 
 std::vector<test::FamilyCase> diff_families() {
@@ -40,110 +55,39 @@ std::vector<test::FamilyCase> diff_families() {
   return out;
 }
 
-TEST(ApiBuild, EdgeModelMatchesEpsilonPipelinePerCell) {
+TEST(ApiBuild, FacadeMatchesByteIdenticalRefereesInEveryCell) {
+  const std::pair<const char*, api::detail::Referees> referees[] = {
+      {"reference_kernel", {.reference_kernel = true}},
+      {"scalar_lanes", {.scalar_lanes = true}},
+  };
   for (const auto& fc : diff_families()) {
-    for (const double eps : {0.0, 0.25, 0.45, 0.6, 1.0}) {
-      EpsilonOptions legacy_opts;
-      legacy_opts.eps = eps;
-      const EpsilonResult legacy =
-          build_epsilon_ftbfs(fc.graph, fc.source, legacy_opts);
-
-      api::BuildSpec spec;
-      spec.fault_model = FaultClass::kEdge;
-      spec.sources = {fc.source};
-      spec.eps = eps;
-      const api::BuildResult got = api::build(fc.graph, spec);
-
-      expect_identical(got.structure, legacy.structure,
-                       fc.name + " eps=" + std::to_string(eps));
-      ASSERT_EQ(got.per_source.size(), 1u);
-      EXPECT_EQ(got.per_source[0].structure_edges,
-                legacy.stats.structure_edges);
-      EXPECT_EQ(got.sources, spec.sources);
+    const Vertex n = fc.graph.num_vertices();
+    for (const FaultClass model : {FaultClass::kEdge, FaultClass::kVertex,
+                                   FaultClass::kEither, FaultClass::kDual}) {
+      for (const std::vector<Vertex>& sources :
+           {std::vector<Vertex>{fc.source},
+            std::vector<Vertex>{fc.source, n / 2, n - 1}}) {
+        // ε only moves the edge model; sweep both tradeoff ends, the S1/S2
+        // interior and the ESA'13 baseline branch there.
+        const std::vector<double> eps_values =
+            model == FaultClass::kEdge
+                ? std::vector<double>{0.0, 0.25, 0.45, 0.6, 1.0}
+                : std::vector<double>{0.25};
+        for (const double eps : eps_values) {
+          const api::BuildSpec spec{
+              .fault_model = model, .sources = sources, .eps = eps};
+          const api::BuildResult got = api::build(fc.graph, spec);
+          for (const auto& [name, referee] : referees) {
+            expect_identical(
+                got, api::detail::build(fc.graph, spec, referee),
+                fc.name + " " + to_string(model) + " sigma=" +
+                    std::to_string(sources.size()) + " eps=" +
+                    std::to_string(eps) + " vs " + name);
+          }
+        }
+      }
     }
   }
-}
-
-TEST(ApiBuild, EpsOneMatchesEsa13Baseline) {
-  // The ε = 1 cell is Theorem 3.1's baseline branch — byte-identical to
-  // the legacy build_ftbfs entry point.
-  for (const auto& fc : diff_families()) {
-    const FtBfsStructure legacy = build_ftbfs(fc.graph, fc.source);
-    api::BuildSpec spec;
-    spec.sources = {fc.source};
-    spec.eps = 1.0;
-    expect_identical(api::build(fc.graph, spec).structure, legacy,
-                     fc.name + " baseline");
-  }
-}
-
-TEST(ApiBuild, EpsZeroMatchesReinforcedTree) {
-  for (const auto& fc : diff_families()) {
-    const FtBfsStructure legacy = build_reinforced_tree(fc.graph, fc.source);
-    api::BuildSpec spec;
-    spec.sources = {fc.source};
-    spec.eps = 0.0;
-    expect_identical(api::build(fc.graph, spec).structure, legacy,
-                     fc.name + " reinforced-tree");
-  }
-}
-
-TEST(ApiBuild, VertexModelMatchesVertexBaseline) {
-  for (const auto& fc : diff_families()) {
-    const FtBfsStructure legacy = build_vertex_ftbfs(fc.graph, fc.source);
-    api::BuildSpec spec;
-    spec.fault_model = FaultClass::kVertex;
-    spec.sources = {fc.source};
-    expect_identical(api::build(fc.graph, spec).structure, legacy,
-                     fc.name + " vertex");
-  }
-}
-
-TEST(ApiBuild, EitherModelMatchesLegacyDualUnion) {
-  // The legacy build_dual_ftbfs wrapper is the single-failure either
-  // union; the kEither cell must stay byte-identical to it. (The kDual
-  // cell is the two-simultaneous-failure pipeline — pinned against brute
-  // force in tests/dual_fault_test.cpp.)
-  for (const auto& fc : diff_families()) {
-    const FtBfsStructure legacy = build_dual_ftbfs(fc.graph, fc.source);
-    api::BuildSpec spec;
-    spec.fault_model = FaultClass::kEither;
-    spec.sources = {fc.source};
-    expect_identical(api::build(fc.graph, spec).structure, legacy,
-                     fc.name + " either");
-  }
-}
-
-TEST(ApiBuild, MultiSourceEdgeMatchesFtmbfs) {
-  const Graph g = gen::random_connected(60, 160, 11);
-  const std::vector<Vertex> sources = {0, 17, 42};
-  EpsilonOptions legacy_opts;
-  legacy_opts.eps = 0.3;
-  const MultiSourceResult legacy = build_epsilon_ftmbfs(g, sources,
-                                                        legacy_opts);
-
-  api::BuildSpec spec;
-  spec.sources = sources;
-  spec.eps = 0.3;
-  const api::BuildResult got = api::build(g, spec);
-  expect_identical(got.structure, legacy.structure, "edge ftmbfs");
-  ASSERT_EQ(got.per_source.size(), sources.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    EXPECT_EQ(got.per_source[i].structure_edges,
-              legacy.per_source[i].structure_edges);
-  }
-}
-
-TEST(ApiBuild, MultiSourceVertexMatchesVertexFtmbfs) {
-  const Graph g = gen::random_connected(60, 160, 13);
-  const std::vector<Vertex> sources = {3, 25};
-  const MultiSourceResult legacy = build_vertex_ftmbfs(g, sources);
-
-  api::BuildSpec spec;
-  spec.fault_model = FaultClass::kVertex;
-  spec.sources = sources;
-  expect_identical(api::build(g, spec).structure, legacy.structure,
-                   "vertex ftmbfs");
 }
 
 // ---------------------------------------------------------------------------
@@ -190,36 +134,25 @@ TEST(ApiBuildValidation, RejectsBadSourceSets) {
   }
 }
 
-TEST(ApiBuildValidation, LegacyEntryPointsShareTheMessageShape) {
+TEST(ApiBuildValidation, PipelineImplsShareTheMessageShape) {
+  // The detail::*_impl pipelines validate through validate.hpp, so a bad
+  // input reads the same whether it arrives through the facade or not.
   const Graph g = gen::grid_graph(4, 4);
-  {
-    EpsilonOptions opts;
-    opts.eps = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_invalid = [](const std::function<void()>& call) {
     try {
-      build_epsilon_ftbfs(g, 0, opts);
+      call();
       FAIL() << "expected CheckError";
     } catch (const CheckError& e) {
       EXPECT_NE(std::string(e.what()).find("invalid BuildSpec"),
                 std::string::npos)
           << e.what();
     }
-  }
-  try {
-    build_epsilon_ftmbfs(g, {}, {});
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("invalid BuildSpec"),
-              std::string::npos)
-        << e.what();
-  }
-  try {
-    build_vertex_ftbfs(g, -1);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("invalid BuildSpec"),
-              std::string::npos)
-        << e.what();
-  }
+  };
+  EpsilonOptions nan_eps;
+  nan_eps.eps = std::numeric_limits<double>::quiet_NaN();
+  expect_invalid([&] { detail::build_epsilon_ftbfs_impl(g, 0, nan_eps); });
+  expect_invalid([&] { detail::build_epsilon_ftmbfs_impl(g, {}, {}); });
+  expect_invalid([&] { detail::build_vertex_ftbfs_impl(g, -1, {}); });
 }
 
 // ---------------------------------------------------------------------------

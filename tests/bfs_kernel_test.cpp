@@ -349,8 +349,10 @@ TEST(EngineEquivalence, EpsilonConstructionEdgeSetsIdentical) {
       ref_opts.reference_kernel = true;
       EpsilonOptions opt_opts;
       opt_opts.eps = eps;
-      const EpsilonResult a = build_epsilon_ftbfs(fc.graph, fc.source, ref_opts);
-      const EpsilonResult b = build_epsilon_ftbfs(fc.graph, fc.source, opt_opts);
+      const EpsilonResult a =
+          detail::build_epsilon_ftbfs_impl(fc.graph, fc.source, ref_opts);
+      const EpsilonResult b =
+          detail::build_epsilon_ftbfs_impl(fc.graph, fc.source, opt_opts);
       ASSERT_EQ(a.structure.edges(), b.structure.edges()) << fc.name;
       ASSERT_EQ(a.structure.reinforced(), b.structure.reinforced()) << fc.name;
       ASSERT_EQ(a.structure.tree_edges(), b.structure.tree_edges()) << fc.name;

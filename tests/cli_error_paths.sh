@@ -12,8 +12,10 @@
 # malformed --sources (including the trailing-garbage form "5x" that a
 # lenient strtoll would silently truncate), bad --graph-format, a missing
 # graph file, --eps on a non-edge pipeline, --site-dist without v5/v6
-# persistence, bad --dual-dfs-schedule values, and structure upgrade /
-# verify on a truncated v5/v6 artifact.
+# persistence, flags the subcommand does not read (a typo, the removed
+# --dual-dfs-schedule), and structure upgrade / verify on a truncated
+# v5/v6 artifact. Flags come from argv only: an FTBFS_* environment
+# variable must not change a build.
 set -u
 
 CLI="$1"
@@ -54,6 +56,24 @@ expect_fail() {
   echo "ok($name): exit $rc, stderr-only"
 }
 
+# expect_unknown_flag NAME FLAG CMD...
+# Runs CMD, requires: the usage exit code 2, FLAG named on stderr, and an
+# empty stdout.
+expect_unknown_flag() {
+  local name="$1" flag="$2"
+  shift 2
+  local out="$TMP/out.$name" err="$TMP/err.$name"
+  "$@" >"$out" 2>"$err"
+  local rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q -- "$flag" "$err" || [ -s "$out" ]; then
+    echo "FAIL($name): exit $rc, expected 2 naming $flag on stderr only:"
+    sed 's/^/    /' "$err" "$out"
+    fails=$((fails + 1))
+    return
+  fi
+  echo "ok($name): exit 2, $flag named"
+}
+
 GRAPH="$TMP/g.edges"
 "$CLI" generate --family=gnm --n=40 --m=120 --seed=1 --out="$GRAPH" \
   >/dev/null 2>&1 || { echo "FAIL(setup): generate"; exit 1; }
@@ -80,10 +100,23 @@ expect_fail eps_on_dual \
 expect_fail site_dist_without_v5 \
   "$CLI" build --graph="$GRAPH" --fault-model=dual --site-dist \
   --out="$TMP/x.ftbfs"
-expect_fail bad_dual_dfs_schedule_value \
-  "$CLI" build --graph="$GRAPH" --fault-model=dual --dual-dfs-schedule=maybe
-expect_fail dual_dfs_schedule_on_edge_model \
-  "$CLI" build --graph="$GRAPH" --dual-dfs-schedule=off
+expect_unknown_flag typo_flag --espilon \
+  "$CLI" build --graph="$GRAPH" --espilon=0.9
+expect_unknown_flag removed_dual_dfs_schedule_flag --dual-dfs-schedule \
+  "$CLI" build --graph="$GRAPH" --fault-model=dual --dual-dfs-schedule=off
+
+# The environment is not an option source: under FTBFS_EPS the build must
+# still run at the default ε and write the default-ε artifact byte for byte.
+"$CLI" build --graph="$GRAPH" --out="$TMP/plain.ftbfs" >/dev/null 2>&1 &&
+  FTBFS_EPS=0.9 "$CLI" build --graph="$GRAPH" --out="$TMP/env.ftbfs" \
+    --json >"$TMP/env.json" 2>/dev/null
+if [ $? -ne 0 ] || ! grep -q '"eps": 0.25,' "$TMP/env.json" ||
+   ! cmp -s "$TMP/plain.ftbfs" "$TMP/env.ftbfs"; then
+  echo "FAIL(env_eps_ignored): FTBFS_EPS changed the build (or it failed)"
+  fails=$((fails + 1))
+else
+  echo "ok(env_eps_ignored): FTBFS_EPS left the build unchanged"
+fi
 
 # Truncated-artifact refusals: cut the checksummed v5 artifact mid-file;
 # the loader must refuse (CRC / framing), the CLI must exit non-zero.

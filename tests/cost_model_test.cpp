@@ -39,7 +39,7 @@ TEST(CostModel, StructureCostMatchesHandComputation) {
   const Graph g = gen::gnm(40, 150, 3);
   EpsilonOptions opts;
   opts.eps = 0.3;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
   const double cost = res.structure.cost(1.5, 80.0);
   EXPECT_DOUBLE_EQ(cost, 1.5 * static_cast<double>(res.structure.num_backup()) +
                              80.0 * static_cast<double>(

@@ -4,9 +4,9 @@
 // Every answer the dual pipeline can serve — structure BFS, oracle fast
 // paths, batched Session queries, reloaded v4 artifacts — is pinned
 // bit-identical against brute-force two-failure BFS AND against the
-// unpruned PR 4 referee (BuildSpec::unpruned_dual) on the harness's four
-// graph families (dense random, sparse random, long path, grid: the
-// adversarial shapes differ in where replacement paths can run):
+// unpruned PR 4 referee (api::detail::Referees::unpruned_dual) on the
+// harness's four graph families (dense random, sparse random, long path,
+// grid: the adversarial shapes differ in where replacement paths can run):
 // exhaustive pairs at small n, seeded property sampling at larger n. A
 // failing case prints its one-command reproduction via FTB_PROPERTY_TRACE.
 #include <gtest/gtest.h>
@@ -65,9 +65,8 @@ TEST(DualFault, PrunedIsSubsetOfUnprunedRefereeAndServesIdentically) {
     spec.fault_model = FaultClass::kDual;
     spec.sources = {pc.source};
     const api::BuildResult pruned = api::build(pc.graph, spec);
-    api::BuildSpec ref_spec = spec;
-    ref_spec.unpruned_dual = true;
-    const api::BuildResult referee = api::build(pc.graph, ref_spec);
+    const api::BuildResult referee =
+        api::detail::build(pc.graph, spec, {.unpruned_dual = true});
 
     // Containment: the pruned H drops edges of the PR 4 recursion, never
     // adds any — and per-site subsets shrink the same way.
@@ -118,9 +117,8 @@ TEST(DualFault, PrunedPropertySamplingAtLargeN) {
     spec.fault_model = FaultClass::kDual;
     spec.sources = {pc.source};
     const api::BuildResult pruned = api::build(pc.graph, spec);
-    api::BuildSpec ref_spec = spec;
-    ref_spec.unpruned_dual = true;
-    const api::BuildResult referee = api::build(pc.graph, ref_spec);
+    const api::BuildResult referee =
+        api::detail::build(pc.graph, spec, {.unpruned_dual = true});
     EXPECT_EQ(verify_dual_structure(pruned.structure, /*max_pairs=*/300,
                                     /*seed=*/pc.seed, /*pool=*/nullptr,
                                     /*edges_budget=*/
@@ -139,9 +137,8 @@ TEST(DualFault, PrunedReferenceKernelBuildsIdenticalStructure) {
     spec.fault_model = FaultClass::kDual;
     spec.sources = {pc.source};
     const api::BuildResult opt = api::build(pc.graph, spec);
-    api::BuildSpec ref_spec = spec;
-    ref_spec.reference_kernel = true;
-    const api::BuildResult ref = api::build(pc.graph, ref_spec);
+    const api::BuildResult ref =
+        api::detail::build(pc.graph, spec, {.reference_kernel = true});
     EXPECT_EQ(opt.structure.edges(), ref.structure.edges());
     ASSERT_EQ(opt.dual_tables.size(), ref.dual_tables.size());
     EXPECT_EQ(opt.dual_tables.front().offsets, ref.dual_tables.front().offsets);
@@ -596,23 +593,22 @@ TEST(DualFault, DualDrillsReportZeroViolations) {
   EXPECT_EQ(served.reachable_queries, structural.reachable_queries);
 }
 
-TEST(DualFault, BitParallelKnobIsByteIdenticalOnStructuresAndAnswers) {
+TEST(DualFault, ScalarLanesRefereeIsByteIdenticalOnStructuresAndAnswers) {
   // The bit-parallel kernel batches the unpruned referee's per-site
   // punctured rebuilds (per-lane BfsBans carrying each site's failure) and
-  // the multi-source tree builds. With the knob on or off — and crossed
+  // the multi-source tree builds. Against the scalar-lane referee — crossed
   // with unpruned_dual — the structure, the pair tables, AND the batched
   // session answers must agree byte for byte.
   for (const auto& pc : test::property_cases(30, 1)) {
     FTB_PROPERTY_TRACE(pc, "dual_fault_test");
     for (const bool unpruned : {false, true}) {
-      api::BuildSpec on;
-      on.fault_model = FaultClass::kDual;
-      on.sources = {pc.source};
-      on.unpruned_dual = unpruned;
-      api::BuildSpec off = on;
-      off.bit_parallel = false;
-      const api::BuildResult ra = api::build(pc.graph, on);
-      const api::BuildResult rb = api::build(pc.graph, off);
+      api::BuildSpec spec;
+      spec.fault_model = FaultClass::kDual;
+      spec.sources = {pc.source};
+      const api::BuildResult ra =
+          api::detail::build(pc.graph, spec, {.unpruned_dual = unpruned});
+      const api::BuildResult rb = api::detail::build(
+          pc.graph, spec, {.scalar_lanes = true, .unpruned_dual = unpruned});
       EXPECT_EQ(ra.structure.edges(), rb.structure.edges())
           << pc.name() << " unpruned=" << unpruned;
       EXPECT_EQ(ra.structure.tree_edges(), rb.structure.tree_edges())
@@ -655,17 +651,16 @@ TEST(DualFault, BitParallelKnobIsByteIdenticalOnStructuresAndAnswers) {
   }
 }
 
-TEST(DualFault, MultiSourceDualBitParallelKnobIsByteIdentical) {
+TEST(DualFault, MultiSourceDualScalarLanesRefereeIsByteIdentical) {
   // The multi-source dual path crosses both fused seams at once: fused
   // per-source canonical builds AND the per-source pair-table rebuilds.
   const Graph g = gen::random_connected(32, 70, 23);
-  api::BuildSpec on;
-  on.fault_model = FaultClass::kDual;
-  on.sources = {0, 9, 17};
-  api::BuildSpec off = on;
-  off.bit_parallel = false;
-  const api::BuildResult ra = api::build(g, on);
-  const api::BuildResult rb = api::build(g, off);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.sources = {0, 9, 17};
+  const api::BuildResult ra = api::build(g, spec);
+  const api::BuildResult rb =
+      api::detail::build(g, spec, {.scalar_lanes = true});
   EXPECT_EQ(ra.structure.edges(), rb.structure.edges());
   ASSERT_EQ(ra.dual_tables.size(), rb.dual_tables.size());
   for (std::size_t s = 0; s < ra.dual_tables.size(); ++s) {

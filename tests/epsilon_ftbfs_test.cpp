@@ -52,7 +52,7 @@ TEST(EpsilonFamilySweep, NonReinforcedFailuresPreserveAllDistances) {
       EpsilonOptions opts;
       opts.eps = eps;
       const EpsilonResult res =
-          build_epsilon_ftbfs(pc.graph, pc.source, opts);
+          detail::build_epsilon_ftbfs_impl(pc.graph, pc.source, opts);
       VerifyOptions vo;
       vo.check_nontree_failures = true;
       const VerifyReport rep = verify_structure(res.structure, vo);
@@ -69,7 +69,7 @@ TEST(EpsilonFamilySweep, StatsAreInternallyConsistent) {
       EpsilonOptions opts;
       opts.eps = eps;
       const EpsilonResult res =
-          build_epsilon_ftbfs(pc.graph, pc.source, opts);
+          detail::build_epsilon_ftbfs_impl(pc.graph, pc.source, opts);
       const auto& st = res.stats;
       EXPECT_EQ(st.backup + st.reinforced, st.structure_edges);
       EXPECT_EQ(st.backup, res.structure.num_backup());
@@ -90,7 +90,7 @@ TEST(EpsilonFamilySweep, ReinforcedSetIsSubsetOfTreeEdges) {
       EpsilonOptions opts;
       opts.eps = eps;
       const EpsilonResult res =
-          build_epsilon_ftbfs(pc.graph, pc.source, opts);
+          detail::build_epsilon_ftbfs_impl(pc.graph, pc.source, opts);
       std::vector<std::uint8_t> is_tree(
           static_cast<std::size_t>(pc.graph.num_edges()), 0);
       for (const EdgeId e : res.structure.tree_edges()) {
@@ -110,7 +110,7 @@ TEST(EpsilonFtBfs, EpsZeroReinforcesExactlyTheTree) {
   const Graph g = gen::erdos_renyi(40, 0.15, 11);
   EpsilonOptions opts;
   opts.eps = 0.0;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
   EXPECT_EQ(res.structure.num_backup(), 0);
   EXPECT_EQ(res.structure.num_edges(), res.structure.num_reinforced());
   EXPECT_EQ(res.structure.edges(), res.structure.tree_edges());
@@ -121,7 +121,7 @@ TEST(EpsilonFtBfs, LargeEpsDispatchesToBaseline) {
   for (const double eps : {0.5, 0.75, 1.0}) {
     EpsilonOptions opts;
     opts.eps = eps;
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+    const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
     EXPECT_TRUE(res.stats.used_baseline);
     EXPECT_EQ(res.structure.num_reinforced(), 0);
   }
@@ -133,7 +133,7 @@ TEST(EpsilonFtBfs, ForcedS1S2AtLargeEpsStillCorrect) {
   EpsilonOptions opts;
   opts.eps = 0.5;
   opts.baseline_for_large_eps = false;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
   EXPECT_FALSE(res.stats.used_baseline);
   VerifyOptions vo;
   vo.check_nontree_failures = true;
@@ -145,8 +145,8 @@ TEST(EpsilonFtBfs, DeterministicGivenSeed) {
   EpsilonOptions opts;
   opts.eps = 0.3;
   opts.weight_seed = 99;
-  const EpsilonResult a = build_epsilon_ftbfs(g, 0, opts);
-  const EpsilonResult b = build_epsilon_ftbfs(g, 0, opts);
+  const EpsilonResult a = detail::build_epsilon_ftbfs_impl(g, 0, opts);
+  const EpsilonResult b = detail::build_epsilon_ftbfs_impl(g, 0, opts);
   EXPECT_EQ(a.structure.edges(), b.structure.edges());
   EXPECT_EQ(a.structure.reinforced(), b.structure.reinforced());
 }
@@ -159,7 +159,7 @@ TEST(EpsilonFtBfs, ReinforcementWithinTheoremEnvelope) {
     for (const double eps : {0.2, 1.0 / 3.0}) {
       EpsilonOptions opts;
       opts.eps = eps;
-      const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+      const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
       const double bound = 8.0 * theorem_reinforce_bound(160, eps);
       EXPECT_LE(static_cast<double>(res.structure.num_reinforced()), bound)
           << "seed=" << seed << " eps=" << eps;
@@ -173,7 +173,7 @@ TEST(EpsilonFtBfs, BackupWithinTheoremEnvelope) {
     for (const double eps : {0.2, 1.0 / 3.0, 0.5}) {
       EpsilonOptions opts;
       opts.eps = eps;
-      const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+      const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
       const double bound = 8.0 * theorem_backup_bound(160, eps);
       EXPECT_LE(static_cast<double>(res.structure.num_backup()), bound)
           << "seed=" << seed << " eps=" << eps;
@@ -189,7 +189,7 @@ TEST(EpsilonFtBfs, AblationKnobsPreserveCorrectness) {
       opts.eps = 0.25;
       opts.disable_s2_light_flush = no_flush;
       opts.disable_s2_crossings = no_cross;
-      const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+      const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
       const VerifyReport rep = verify_structure(res.structure);
       EXPECT_TRUE(rep.ok) << "no_flush=" << no_flush
                           << " no_cross=" << no_cross << ": "
@@ -203,7 +203,7 @@ TEST(EpsilonFtBfs, SingleRoundOverrideStillCorrect) {
   EpsilonOptions opts;
   opts.eps = 0.25;
   opts.k_rounds_override = 1;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
   EXPECT_TRUE(verify_structure(res.structure).ok);
 }
 
@@ -217,7 +217,7 @@ TEST(EpsilonFtBfs, TradeoffIsMonotoneOnTheDeepFamily) {
     EpsilonOptions opts;
     opts.eps = eps;
     const EpsilonResult res =
-        build_epsilon_ftbfs(lbg.graph, lbg.source, opts);
+        detail::build_epsilon_ftbfs_impl(lbg.graph, lbg.source, opts);
     bs.push_back(res.structure.num_backup());
     rs.push_back(res.structure.num_reinforced());
   }
@@ -231,9 +231,9 @@ TEST(EpsilonFtBfs, RejectsOutOfRangeEps) {
   const Graph g = gen::path_graph(4);
   EpsilonOptions opts;
   opts.eps = -0.1;
-  EXPECT_THROW(build_epsilon_ftbfs(g, 0, opts), CheckError);
+  EXPECT_THROW(detail::build_epsilon_ftbfs_impl(g, 0, opts), CheckError);
   opts.eps = 1.5;
-  EXPECT_THROW(build_epsilon_ftbfs(g, 0, opts), CheckError);
+  EXPECT_THROW(detail::build_epsilon_ftbfs_impl(g, 0, opts), CheckError);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/dist_sweep.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/ftbfs.hpp"
@@ -233,7 +234,8 @@ TEST(VertexStructureOracleTest, MatchesLiteralBfsExhaustively) {
   for (const auto& fc : test::property_cases(18, 1)) {
     FTB_PROPERTY_TRACE(fc, "fault_model_test");
     const VertexFtBfsOptions opts;  // default weight seed
-    const FtBfsStructure h = build_vertex_ftbfs(fc.graph, fc.source, opts);
+    const FtBfsStructure h =
+        detail::build_vertex_ftbfs_impl(fc.graph, fc.source, opts);
     ASSERT_EQ(h.fault_class(), FaultClass::kVertex);
     const EdgeWeights w =
         EdgeWeights::uniform_random(fc.graph, opts.weight_seed);
@@ -264,7 +266,7 @@ TEST(VertexStructureOracleTest, MatchesLiteralBfsExhaustively) {
 TEST(VertexStructureOracleTest, SourceFailureRefused) {
   const Graph g = gen::cycle_graph(8);
   const VertexFtBfsOptions opts;
-  const FtBfsStructure h = build_vertex_ftbfs(g, 0, opts);
+  const FtBfsStructure h = detail::build_vertex_ftbfs_impl(g, 0, opts);
   const EdgeWeights w = EdgeWeights::uniform_random(g, opts.weight_seed);
   const BfsTree tree(g, w, 0);
   const VertexReplacementEngine engine(tree);
@@ -344,10 +346,13 @@ TEST(FaultClassTest, TagsAndParsingRoundTrip) {
   EXPECT_THROW(parse_fault_class("meteor"), CheckError);
 
   const Graph g = gen::gnm(24, 80, 9);
-  EXPECT_EQ(build_ftbfs(g, 0).fault_class(), FaultClass::kEdge);
-  EXPECT_EQ(build_vertex_ftbfs(g, 0).fault_class(), FaultClass::kVertex);
-  // The legacy "dual" union is the single-failure either model.
-  EXPECT_EQ(build_dual_ftbfs(g, 0).fault_class(), FaultClass::kEither);
+  // Each single-fault model tags its structure with its own class
+  // (kEither is the single-failure union pre-dual releases called "dual").
+  for (const FaultClass model :
+       {FaultClass::kEdge, FaultClass::kVertex, FaultClass::kEither}) {
+    EXPECT_EQ(api::build(g, {.fault_model = model}).structure.fault_class(),
+              model);
+  }
 }
 
 }  // namespace

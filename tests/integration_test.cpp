@@ -54,7 +54,7 @@ TEST(Integration, OracleAgreesWithDeployedStructure) {
   EpsilonOptions opts;
   opts.eps = 0.3;
   opts.weight_seed = seed;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
 
   const EdgeWeights w = EdgeWeights::uniform_random(g, seed);
   const BfsTree tree(g, w, 0);
@@ -90,7 +90,7 @@ TEST(Integration, ConnectivityExplainsDrillDisconnections) {
   const Graph g = gen::dumbbell(8, 3);
   const ConnectivityReport conn = analyze_connectivity(g);
   ASSERT_EQ(conn.bridges.size(), 3u);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   // Drill everything deterministically.
   const DrillReport rep = run_failure_drill(h, g.num_edges(), 3);
   EXPECT_EQ(rep.violations, 0);
@@ -162,7 +162,8 @@ TEST(Integration, AdversarialEndToEnd) {
   const auto lbg = lb::build_single_source(400, 0.5);
   EpsilonOptions opts;
   opts.eps = 0.15;
-  const EpsilonResult res = build_epsilon_ftbfs(lbg.graph, lbg.source, opts);
+  const EpsilonResult res =
+      detail::build_epsilon_ftbfs_impl(lbg.graph, lbg.source, opts);
   // Certified floor honored.
   EXPECT_GE(res.structure.num_backup(),
             lbg.certified_min_backup(res.structure.num_reinforced()));

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/graph/canonical_bfs.hpp"
@@ -118,7 +119,8 @@ TEST(SingleSourceLb, BaselineStructureRespectsCertifiedBound) {
   // The ESA'13 baseline reinforces nothing, so it must contain at least
   // certified_min_backup(0) backup edges beyond the tree.
   const auto lb = lb::build_single_source(240, 0.33);
-  const FtBfsStructure h = build_ftbfs(lb.graph, lb.source);
+  const FtBfsStructure h =
+      api::build(lb.graph, {.sources = {lb.source}, .eps = 1}).structure;
   EXPECT_GE(h.num_backup(),
             lb.certified_min_backup(0));
 }
@@ -129,7 +131,8 @@ TEST(SingleSourceLb, EpsilonStructureRespectsCertifiedBound) {
   const auto lb = lb::build_single_source(240, 0.33);
   EpsilonOptions opts;
   opts.eps = 0.33;
-  const EpsilonResult res = build_epsilon_ftbfs(lb.graph, lb.source, opts);
+  const EpsilonResult res =
+      detail::build_epsilon_ftbfs_impl(lb.graph, lb.source, opts);
   EXPECT_GE(res.structure.num_backup(),
             lb.certified_min_backup(res.structure.num_reinforced()));
 }

@@ -323,20 +323,19 @@ TEST(MultiSourceKernelProperty, FaultSampledLanesMatchScalar) {
 // ---- facade validation -----------------------------------------------------
 
 TEST(MultiSourceKernel, DuplicateSourceRejectionIsByteIdenticalAcrossKnob) {
-  // The duplicate-source CheckError predates the kernel; the bit_parallel
-  // knob must not change a single byte of it (validation runs before any
+  // The duplicate-source CheckError predates the kernel; the scalar-lane
+  // referee must not change a single byte of it (validation runs before any
   // kernel is leased).
   const Graph g = gen::grid_graph(4, 4);
   std::string msgs[2];
-  for (const bool bp : {false, true}) {
+  for (const bool scalar : {false, true}) {
     api::BuildSpec spec;
     spec.sources = {0, 3, 0};
-    spec.bit_parallel = bp;
     try {
-      api::build(g, spec);
-      FAIL() << "expected CheckError (bit_parallel=" << bp << ")";
+      api::detail::build(g, spec, {.scalar_lanes = scalar});
+      FAIL() << "expected CheckError (scalar_lanes=" << scalar << ")";
     } catch (const CheckError& e) {
-      msgs[bp ? 1 : 0] = e.what();
+      msgs[scalar ? 1 : 0] = e.what();
     }
   }
   EXPECT_EQ(msgs[0], msgs[1]);

@@ -3,6 +3,7 @@
 // so a failing case prints its FTBFS_PROPERTY_SEED reproduction.
 #include <gtest/gtest.h>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/multi_source.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/lower_bound.hpp"
@@ -16,7 +17,8 @@ TEST(MultiSource, ContractHoldsForEverySource) {
   const std::vector<Vertex> sources{0, 7, 23};
   EpsilonOptions opts;
   opts.eps = 0.3;
-  const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
+  const MultiSourceResult ms =
+      detail::build_epsilon_ftmbfs_impl(g, sources, opts);
   EXPECT_EQ(verify_multi_source(g, ms), 0);
 }
 
@@ -30,9 +32,10 @@ TEST(MultiSource, PropertySweepContractHoldsOnEveryFamily) {
     EpsilonOptions opts;
     opts.eps = 0.3;
     const MultiSourceResult ms =
-        build_epsilon_ftmbfs(pc.graph, sources, opts);
+        detail::build_epsilon_ftmbfs_impl(pc.graph, sources, opts);
     EXPECT_EQ(verify_multi_source(pc.graph, ms), 0) << pc.name();
-    const MultiSourceResult vms = build_vertex_ftmbfs(pc.graph, sources);
+    const MultiSourceResult vms =
+        detail::build_vertex_ftmbfs_impl(pc.graph, sources, {});
     EXPECT_EQ(verify_vertex_multi_source(pc.graph, vms), 0) << pc.name();
   }
 }
@@ -43,7 +46,8 @@ TEST(MultiSource, ContractHoldsAtEndpointEps) {
   for (const double eps : {0.0, 0.5, 1.0}) {
     EpsilonOptions opts;
     opts.eps = eps;
-    const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
+    const MultiSourceResult ms =
+        detail::build_epsilon_ftmbfs_impl(g, sources, opts);
     EXPECT_EQ(verify_multi_source(g, ms), 0) << "eps=" << eps;
   }
 }
@@ -53,9 +57,10 @@ TEST(MultiSource, UnionDominatesEverySingleSource) {
   const std::vector<Vertex> sources{0, 5, 11};
   EpsilonOptions opts;
   opts.eps = 0.25;
-  const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
+  const MultiSourceResult ms =
+      detail::build_epsilon_ftmbfs_impl(g, sources, opts);
   for (const Vertex s : sources) {
-    const EpsilonResult single = build_epsilon_ftbfs(g, s, opts);
+    const EpsilonResult single = detail::build_epsilon_ftbfs_impl(g, s, opts);
     EXPECT_GE(ms.structure.num_edges(), single.structure.num_edges());
     for (const EdgeId e : single.structure.edges()) {
       EXPECT_TRUE(ms.structure.contains(e));
@@ -68,7 +73,8 @@ TEST(MultiSource, PerSourceStatsAligned) {
   const std::vector<Vertex> sources{2, 9};
   EpsilonOptions opts;
   opts.eps = 0.3;
-  const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
+  const MultiSourceResult ms =
+      detail::build_epsilon_ftmbfs_impl(g, sources, opts);
   ASSERT_EQ(ms.per_source.size(), sources.size());
   for (const auto& st : ms.per_source) {
     EXPECT_EQ(st.n, g.num_vertices());
@@ -81,7 +87,7 @@ TEST(MultiSource, WorksOnTheTheorem54Graph) {
   EpsilonOptions opts;
   opts.eps = 0.3;
   const MultiSourceResult ms =
-      build_epsilon_ftmbfs(lb.graph, lb.sources, opts);
+      detail::build_epsilon_ftmbfs_impl(lb.graph, lb.sources, opts);
   // Spot-verify (cap failures for runtime).
   EXPECT_EQ(verify_multi_source(lb.graph, ms, /*max_failures=*/150), 0);
   // Certified bound holds for the union as well.
@@ -93,22 +99,22 @@ TEST(MultiSource, SingleSourceDegeneratesToEpsilonFtBfs) {
   const Graph g = gen::gnm(30, 110, 85);
   EpsilonOptions opts;
   opts.eps = 0.3;
-  const MultiSourceResult ms = build_epsilon_ftmbfs(g, {4}, opts);
-  const EpsilonResult single = build_epsilon_ftbfs(g, 4, opts);
+  const MultiSourceResult ms = detail::build_epsilon_ftmbfs_impl(g, {4}, opts);
+  const EpsilonResult single = detail::build_epsilon_ftbfs_impl(g, 4, opts);
   EXPECT_EQ(ms.structure.edges(), single.structure.edges());
   EXPECT_EQ(ms.structure.reinforced(), single.structure.reinforced());
 }
 
 TEST(MultiSource, EmptySourcesRejected) {
   const Graph g = gen::path_graph(4);
-  EXPECT_THROW(build_epsilon_ftmbfs(g, {}, {}), CheckError);
-  EXPECT_THROW(build_vertex_ftmbfs(g, {}, {}), CheckError);
+  EXPECT_THROW(detail::build_epsilon_ftmbfs_impl(g, {}, {}), CheckError);
+  EXPECT_THROW(detail::build_vertex_ftmbfs_impl(g, {}, {}), CheckError);
 }
 
 TEST(MultiSource, VertexUnionContractHoldsForEverySource) {
   const Graph g = gen::gnm(40, 150, 87);
   const std::vector<Vertex> sources{0, 7, 23};
-  const MultiSourceResult ms = build_vertex_ftmbfs(g, sources);
+  const MultiSourceResult ms = detail::build_vertex_ftmbfs_impl(g, sources, {});
   EXPECT_EQ(ms.structure.fault_class(), FaultClass::kVertex);
   EXPECT_EQ(verify_vertex_multi_source(g, ms), 0);
 }
@@ -116,9 +122,11 @@ TEST(MultiSource, VertexUnionContractHoldsForEverySource) {
 TEST(MultiSource, VertexUnionDominatesEverySingleSource) {
   const Graph g = gen::gnm(36, 140, 89);
   const std::vector<Vertex> sources{0, 5, 11};
-  const MultiSourceResult ms = build_vertex_ftmbfs(g, sources);
+  const MultiSourceResult ms = detail::build_vertex_ftmbfs_impl(g, sources, {});
   for (const Vertex s : sources) {
-    const FtBfsStructure single = build_vertex_ftbfs(g, s);
+    const FtBfsStructure single =
+        api::build(g, {.fault_model = FaultClass::kVertex, .sources = {s}})
+            .structure;
     for (const EdgeId e : single.edges()) {
       EXPECT_TRUE(ms.structure.contains(e));
     }
@@ -138,9 +146,10 @@ TEST(MultiSource, BitParallelKnobIsByteIdenticalAcrossUnions) {
     eps_on.eps = 0.3;
     EpsilonOptions eps_off = eps_on;
     eps_off.bit_parallel = false;
-    const MultiSourceResult ea = build_epsilon_ftmbfs(pc.graph, sources, eps_on);
+    const MultiSourceResult ea =
+        detail::build_epsilon_ftmbfs_impl(pc.graph, sources, eps_on);
     const MultiSourceResult eb =
-        build_epsilon_ftmbfs(pc.graph, sources, eps_off);
+        detail::build_epsilon_ftmbfs_impl(pc.graph, sources, eps_off);
     EXPECT_EQ(ea.structure.edges(), eb.structure.edges()) << pc.name();
     EXPECT_EQ(ea.structure.reinforced(), eb.structure.reinforced())
         << pc.name();
@@ -156,8 +165,10 @@ TEST(MultiSource, BitParallelKnobIsByteIdenticalAcrossUnions) {
     VertexFtBfsOptions v_on;
     VertexFtBfsOptions v_off;
     v_off.bit_parallel = false;
-    const MultiSourceResult va = build_vertex_ftmbfs(pc.graph, sources, v_on);
-    const MultiSourceResult vb = build_vertex_ftmbfs(pc.graph, sources, v_off);
+    const MultiSourceResult va =
+        detail::build_vertex_ftmbfs_impl(pc.graph, sources, v_on);
+    const MultiSourceResult vb =
+        detail::build_vertex_ftmbfs_impl(pc.graph, sources, v_off);
     EXPECT_EQ(va.structure.edges(), vb.structure.edges()) << pc.name();
     EXPECT_EQ(va.structure.tree_edges(), vb.structure.tree_edges())
         << pc.name();
@@ -174,8 +185,10 @@ TEST(MultiSource, BitParallelKnobIsByteIdenticalAcrossUnions) {
 
 TEST(MultiSource, VertexSingleSourceDegeneratesToBaseline) {
   const Graph g = gen::gnm(30, 110, 91);
-  const MultiSourceResult ms = build_vertex_ftmbfs(g, {4});
-  const FtBfsStructure single = build_vertex_ftbfs(g, 4);
+  const MultiSourceResult ms = detail::build_vertex_ftmbfs_impl(g, {4}, {});
+  const FtBfsStructure single =
+      api::build(g, {.fault_model = FaultClass::kVertex, .sources = {4}})
+          .structure;
   EXPECT_EQ(ms.structure.edges(), single.edges());
   EXPECT_EQ(ms.structure.tree_edges(), single.tree_edges());
 }

@@ -3,6 +3,7 @@
 // instance-vs-universal gap.
 #include <gtest/gtest.h>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/optimizer.hpp"
@@ -16,7 +17,7 @@ namespace {
 TEST(GreedyFrontier, EndpointsMatchTheExtremes) {
   const Graph g = gen::gnm(40, 170, 7);
   const GreedyFrontier frontier(g, 0);
-  const FtBfsStructure baseline = build_ftbfs(g, 0);
+  const FtBfsStructure baseline = api::build(g, {.eps = 1}).structure;
   // r=0 → exactly the ESA'13 baseline size (same engine, same last edges).
   EXPECT_EQ(frontier.points().front().backup, baseline.num_edges());
   // r=|T0| → the bare reinforced tree.
@@ -86,7 +87,7 @@ TEST(GreedyFrontier, BeatsTheUniversalConstructionOnItsOwnGraph) {
   EpsilonOptions opts;
   opts.eps = 0.15;
   const EpsilonResult universal =
-      build_epsilon_ftbfs(lbg.graph, lbg.source, opts);
+      detail::build_epsilon_ftbfs_impl(lbg.graph, lbg.source, opts);
   const GreedyFrontier frontier(lbg.graph, lbg.source);
   const FtBfsStructure greedy =
       frontier.design_max_reinforced(universal.structure.num_reinforced());

@@ -64,7 +64,7 @@ TEST_P(StressSweep, EpsilonStructureSurvivesEveryFailure) {
   EpsilonOptions opts;
   opts.eps = c.eps;
   opts.weight_seed = c.seed * 7919;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
   VerifyOptions vo;
   vo.check_nontree_failures = true;
   const VerifyReport rep = verify_structure(res.structure, vo);
@@ -77,11 +77,11 @@ TEST_P(StressSweep, BaselineAndVertexBaselineSurvive) {
   const Graph g = make_graph(c.name, c.seed);
   FtBfsOptions opts;
   opts.weight_seed = c.seed * 104729;
-  const FtBfsStructure eh = build_ftbfs(g, 0, opts);
+  const FtBfsStructure eh = detail::build_ftbfs_impl(g, 0, opts);
   EXPECT_TRUE(verify_structure(eh).ok) << case_name(c);
   VertexFtBfsOptions vopts;
   vopts.weight_seed = c.seed * 104729;
-  const FtBfsStructure vh = build_vertex_ftbfs(g, 0, vopts);
+  const FtBfsStructure vh = detail::build_vertex_ftbfs_impl(g, 0, vopts);
   EXPECT_EQ(verify_vertex_structure(vh), 0) << case_name(c);
 }
 
@@ -105,7 +105,8 @@ TEST(Stress, ManySourcesOnOneGraph) {
     }
     EpsilonOptions opts;
     opts.eps = 0.25;
-    const MultiSourceResult ms = build_epsilon_ftmbfs(g, sources, opts);
+    const MultiSourceResult ms =
+        detail::build_epsilon_ftmbfs_impl(g, sources, opts);
     ASSERT_EQ(verify_multi_source(g, ms), 0) << "sigma " << sigma;
 
     BfsScratch truth;
@@ -145,7 +146,7 @@ TEST(Stress, DisconnectedInputsAcrossSeeds) {
     const Graph g = gen::erdos_renyi(60, 0.03, seed);
     EpsilonOptions opts;
     opts.eps = 0.3;
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+    const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
     const VerifyReport rep = verify_structure(res.structure);
     ASSERT_TRUE(rep.ok) << "seed " << seed << ": " << rep.to_string();
   }
@@ -155,12 +156,12 @@ TEST(Stress, TinyGraphsEdgeCases) {
   // n = 1, 2, 3 and a triangle: boundary conditions of every module.
   {
     const Graph g = gen::path_graph(1);
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, {});
+    const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, {});
     EXPECT_EQ(res.structure.num_edges(), 0);
   }
   {
     const Graph g = gen::path_graph(2);
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, {});
+    const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, {});
     EXPECT_EQ(res.structure.num_edges(), 1);
     EXPECT_TRUE(verify_structure(res.structure).ok);
   }
@@ -168,7 +169,7 @@ TEST(Stress, TinyGraphsEdgeCases) {
     const Graph g = gen::cycle_graph(3);
     EpsilonOptions opts;
     opts.eps = 0.25;
-    const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+    const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
     VerifyOptions vo;
     vo.check_nontree_failures = true;
     EXPECT_TRUE(verify_structure(res.structure, vo).ok);

@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/ftbfs.hpp"
@@ -19,7 +20,7 @@ TEST(StructureIo, RoundTripPreservesThePartition) {
   const Graph g = gen::gnm(40, 170, 3);
   EpsilonOptions opts;
   opts.eps = 0.2;
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
   std::stringstream ss;
   io::write_structure(res.structure, ss);
   const FtBfsStructure back = io::read_structure(g, ss);
@@ -31,7 +32,7 @@ TEST(StructureIo, RoundTripPreservesThePartition) {
 
 TEST(StructureIo, ReloadedStructureStillVerifies) {
   const Graph g = gen::random_connected(50, 150, 5);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   std::stringstream ss;
   io::write_structure(h, ss);
   const FtBfsStructure back = io::read_structure(g, ss);
@@ -40,7 +41,7 @@ TEST(StructureIo, ReloadedStructureStillVerifies) {
 
 TEST(StructureIo, FileRoundTrip) {
   const Graph g = gen::grid_graph(6, 6);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   const std::string path = "/tmp/ftbfs_structure_test.ftbfs";
   io::save_structure(h, path);
   const FtBfsStructure back = io::load_structure(g, path);
@@ -50,7 +51,7 @@ TEST(StructureIo, FileRoundTrip) {
 
 TEST(StructureIo, RejectsWrongGraph) {
   const Graph g = gen::gnm(30, 120, 7);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   std::stringstream ss;
   io::write_structure(h, ss);
   const Graph other = gen::path_graph(30);  // same n, different edges
@@ -59,7 +60,7 @@ TEST(StructureIo, RejectsWrongGraph) {
 
 TEST(StructureIo, RejectsWrongVertexCount) {
   const Graph g = gen::gnm(30, 120, 9);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   std::stringstream ss;
   io::write_structure(h, ss);
   const Graph other = gen::gnm(31, 120, 9);
@@ -70,11 +71,8 @@ TEST(StructureIo, FaultModelTagRoundTrips) {
   const Graph g = gen::gnm(36, 150, 11);
   for (const FaultClass model :
        {FaultClass::kVertex, FaultClass::kEither, FaultClass::kEdge}) {
-    const FtBfsStructure h = model == FaultClass::kVertex
-                                 ? build_vertex_ftbfs(g, 0)
-                                 : model == FaultClass::kEither
-                                       ? build_dual_ftbfs(g, 0)
-                                       : build_ftbfs(g, 0);
+    const FtBfsStructure h =
+        api::build(g, {.fault_model = model, .eps = 1}).structure;
     ASSERT_EQ(h.fault_class(), model);
     std::stringstream ss;
     io::write_structure(h, ss);
@@ -91,7 +89,7 @@ TEST(StructureIo, EveryDocumentedVersionRoundTrips) {
   // write_structure/read_structure exactly.
   const Graph g = gen::random_connected(30, 70, 21);
   {  // v2 — single-source artifact.
-    const FtBfsStructure h = build_ftbfs(g, 0);
+    const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
     std::stringstream ss;
     io::write_structure(h, ss);
     EXPECT_EQ(ss.str().rfind("ftbfs-structure 2\n", 0), 0u);
@@ -102,7 +100,8 @@ TEST(StructureIo, EveryDocumentedVersionRoundTrips) {
   {  // v3 — multi-source artifact keeps its source set.
     EpsilonOptions opts;
     opts.eps = 0.4;
-    const MultiSourceResult ms = build_epsilon_ftmbfs(g, {0, 9}, opts);
+    const MultiSourceResult ms =
+        detail::build_epsilon_ftmbfs_impl(g, {0, 9}, opts);
     std::stringstream ss;
     io::write_structure(ms.structure, ms.sources, ss);
     EXPECT_EQ(ss.str().rfind("ftbfs-structure 3\n", 0), 0u);

@@ -25,7 +25,7 @@ struct Fixture {
           EpsilonOptions opts;
           opts.eps = eps;
           opts.weight_seed = seed;
-          return build_epsilon_ftbfs(g, 0, opts);
+          return detail::build_epsilon_ftbfs_impl(g, 0, opts);
         }()),
         oracle(res.structure, engine) {}
 };
@@ -91,7 +91,7 @@ TEST(StructureOracle, RejectsMismatchedEngines) {
   EpsilonOptions opts;
   opts.eps = 0.25;
   opts.weight_seed = 999;  // different tree with high probability
-  const EpsilonResult res = build_epsilon_ftbfs(g, 0, opts);
+  const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
   // Either the trees coincide (fine) or construction must throw.
   std::vector<EdgeId> a = res.structure.tree_edges();
   std::vector<EdgeId> b = t1.tree_edges();
@@ -104,7 +104,7 @@ TEST(StructureOracle, RejectsMismatchedEngines) {
   EpsilonOptions o2;
   o2.eps = 0.25;
   o2.weight_seed = 1;
-  const EpsilonResult res2 = build_epsilon_ftbfs(g, 5, o2);
+  const EpsilonResult res2 = detail::build_epsilon_ftbfs_impl(g, 5, o2);
   EXPECT_THROW(StructureOracle(res2.structure, e1), CheckError);
 }
 

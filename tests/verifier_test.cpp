@@ -2,6 +2,7 @@
 // broken ones.
 #include <gtest/gtest.h>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/verifier.hpp"
 #include "src/graph/lower_bound.hpp"
@@ -12,7 +13,7 @@ namespace {
 
 TEST(Verifier, BlessesCorrectStructures) {
   const Graph g = gen::gnm(40, 160, 41);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   const VerifyReport rep = verify_structure(h);
   EXPECT_TRUE(rep.ok);
   EXPECT_EQ(rep.violations, 0);
@@ -40,7 +41,8 @@ TEST(Verifier, CatchesMissingForcedEdgeOnLowerBoundGraph) {
   // Remove one forced bipartite edge from a correct baseline structure on
   // the Theorem 5.1 graph: the verifier must flag exactly that failure.
   const auto lb = lb::build_single_source(220, 0.33);
-  const FtBfsStructure h = build_ftbfs(lb.graph, lb.source);
+  const FtBfsStructure h =
+      api::build(lb.graph, {.sources = {lb.source}, .eps = 1}).structure;
   const std::vector<EdgeId> forced = lb.forced_edges(0, 1);
   // Find a forced edge actually present in H (Claim 5.3 says all are).
   EdgeId victim = kInvalidEdge;
@@ -65,7 +67,8 @@ TEST(Verifier, ReinforcingTheWeakEdgeRestoresTheContract) {
   // Same corruption as above, but the failing path edge is reinforced —
   // the verifier must now pass (reinforced edges never fail).
   const auto lb = lb::build_single_source(220, 0.33);
-  const FtBfsStructure h = build_ftbfs(lb.graph, lb.source);
+  const FtBfsStructure h =
+      api::build(lb.graph, {.sources = {lb.source}, .eps = 1}).structure;
   const std::vector<EdgeId> forced = lb.forced_edges(0, 1);
   EdgeId victim = kInvalidEdge;
   for (const EdgeId e : forced) {
@@ -88,7 +91,7 @@ TEST(Verifier, ReinforcingTheWeakEdgeRestoresTheContract) {
 
 TEST(Verifier, MaxFailuresCaps) {
   const Graph g = gen::gnm(40, 160, 43);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   VerifyOptions vo;
   vo.max_failures = 5;
   const VerifyReport rep = verify_structure(h, vo);
@@ -97,7 +100,7 @@ TEST(Verifier, MaxFailuresCaps) {
 
 TEST(Verifier, NonTreeModeAlsoPasses) {
   const Graph g = gen::gnm(30, 120, 47);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   VerifyOptions vo;
   vo.check_nontree_failures = true;
   const VerifyReport rep = verify_structure(h, vo);
@@ -108,7 +111,7 @@ TEST(Verifier, NonTreeModeAlsoPasses) {
 
 TEST(Verifier, ReportFormatting) {
   const Graph g = gen::gnm(20, 60, 49);
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   const VerifyReport rep = verify_structure(h);
   EXPECT_NE(rep.to_string().find("OK"), std::string::npos);
 }
@@ -120,7 +123,7 @@ TEST(Verifier, DisconnectedGraphsVerifyVacuously) {
   b.add_edge(2, 0);
   b.add_edge(4, 5);  // unreachable island
   const Graph g = b.build();
-  const FtBfsStructure h = build_ftbfs(g, 0);
+  const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
   const VerifyReport rep = verify_structure(h);
   EXPECT_TRUE(rep.ok) << rep.to_string();
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/verifier.hpp"
 #include "src/core/vertex_ftbfs.hpp"
@@ -52,7 +53,10 @@ TEST_P(VertexFamilyTest, ReplacementDistancesMatchBruteForce) {
 
 TEST_P(VertexFamilyTest, BaselineProtectsEveryVertexFailure) {
   const test::FamilyCase fc = find_family(GetParam());
-  const FtBfsStructure h = build_vertex_ftbfs(fc.graph, fc.source);
+  const FtBfsStructure h =
+      api::build(fc.graph, {.fault_model = FaultClass::kVertex,
+                            .sources = {fc.source}})
+          .structure;
   EXPECT_EQ(verify_vertex_structure(h), 0) << h.summary();
 }
 
@@ -96,7 +100,8 @@ INSTANTIATE_TEST_SUITE_P(Families, VertexFamilyTest,
 TEST(VertexFtBfs, SizeWithinTheoremEnvelope) {
   for (const std::uint64_t seed : {1ULL, 2ULL}) {
     const Graph g = gen::random_connected(150, 450, seed);
-    const FtBfsStructure h = build_vertex_ftbfs(g, 0);
+    const FtBfsStructure h =
+        api::build(g, {.fault_model = FaultClass::kVertex}).structure;
     EXPECT_LE(static_cast<double>(h.num_edges()),
               4.0 * std::pow(150.0, 1.5));
   }
@@ -104,7 +109,8 @@ TEST(VertexFtBfs, SizeWithinTheoremEnvelope) {
 
 TEST(VertexFtBfs, DualStructureSurvivesBothFaultModels) {
   const Graph g = gen::gnm(40, 170, 71);
-  const FtBfsStructure dual = build_dual_ftbfs(g, 0);
+  const FtBfsStructure dual =
+      api::build(g, {.fault_model = FaultClass::kEither}).structure;
   // Vertex failures.
   EXPECT_EQ(verify_vertex_structure(dual), 0);
   // Edge failures: the dual contains the edge-fault baseline, whose
@@ -116,9 +122,11 @@ TEST(VertexFtBfs, DualStructureSurvivesBothFaultModels) {
 
 TEST(VertexFtBfs, DualContainsBothBaselines) {
   const Graph g = gen::gnm(36, 150, 73);
-  const FtBfsStructure dual = build_dual_ftbfs(g, 0);
-  const FtBfsStructure edge_h = build_ftbfs(g, 0);
-  const FtBfsStructure vertex_h = build_vertex_ftbfs(g, 0);
+  const FtBfsStructure dual =
+      api::build(g, {.fault_model = FaultClass::kEither}).structure;
+  const FtBfsStructure edge_h = api::build(g, {.eps = 1}).structure;
+  const FtBfsStructure vertex_h =
+      api::build(g, {.fault_model = FaultClass::kVertex}).structure;
   for (const EdgeId e : edge_h.edges()) EXPECT_TRUE(dual.contains(e));
   for (const EdgeId e : vertex_h.edges()) EXPECT_TRUE(dual.contains(e));
 }
@@ -128,7 +136,8 @@ TEST(VertexFtBfs, CutVertexDisconnectionsAreVacuous) {
   // replacement path, the structure is just the tree, and verification is
   // vacuous on the cut side.
   const Graph g = gen::path_graph(10);
-  const FtBfsStructure h = build_vertex_ftbfs(g, 0);
+  const FtBfsStructure h =
+      api::build(g, {.fault_model = FaultClass::kVertex}).structure;
   EXPECT_EQ(h.num_edges(), 9);
   EXPECT_EQ(verify_vertex_structure(h), 0);
 }
@@ -146,7 +155,8 @@ TEST(VertexFtBfs, VertexVsEdgeStructuresDiffer) {
   // failures additionally kill the failed hop's shortcuts — the two
   // baselines need not coincide; both must be correct.
   const Graph g = gen::gnm(30, 120, 79);
-  const FtBfsStructure vh = build_vertex_ftbfs(g, 0);
+  const FtBfsStructure vh =
+      api::build(g, {.fault_model = FaultClass::kVertex}).structure;
   EXPECT_EQ(verify_vertex_structure(vh), 0);
 }
 

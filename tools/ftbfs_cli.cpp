@@ -47,6 +47,10 @@
 // hypercube (dims), theta (paths/len), lb (n/eps), dumbbell (k/bridge),
 // rmat (scale/m), rmat-connected (scale/m). generate --binary emits the
 // binary edge-list encoding.
+//
+// Flags come from argv only — no FTBFS_* environment fallback — and a flag
+// the subcommand does not read is refused (exit 2, the flag named on
+// stderr), so a typo never silently builds with a default.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -90,8 +94,6 @@ int usage() {
          "           [--fault-model=edge|vertex|either|dual]\n"
          "           [--site-dist]   (dual: harvest the site-local pair\n"
          "                            oracle; persisted only by --v5/--v6)\n"
-         "           [--dual-dfs-schedule=on|off]   (dual: DFS-order\n"
-         "                            ancestor-sweep sharing; default on)\n"
          "  verify   --graph=PATH --structure=PATH [--nontree] [--json]\n"
          "           [--fault-model=...]   (default: the structure's tag)\n"
          "           [--pairs=N]   (dual: failure pairs to check; -1 = all)\n"
@@ -250,20 +252,6 @@ api::BuildSpec spec_from_options(const Options& opt) {
                   "--site-dist applies only to --fault-model=dual (the "
                   "site-local oracle accelerates pair queries)");
     spec.site_dist_oracle = true;
-  }
-  if (opt.has("dual-dfs-schedule")) {
-    FTB_CHECK_MSG(spec.fault_model == FaultClass::kDual,
-                  "--dual-dfs-schedule applies only to --fault-model=dual "
-                  "(it picks the pruned dual build's site schedule)");
-    const std::string v = opt.get_string("dual-dfs-schedule", "on");
-    if (v == "on" || v.empty()) {
-      spec.dual_dfs_schedule = true;
-    } else if (v == "off") {
-      spec.dual_dfs_schedule = false;
-    } else {
-      FTB_CHECK_MSG(false, "unknown --dual-dfs-schedule '" << v
-                               << "' (want on or off)");
-    }
   }
   return spec;
 }
@@ -733,21 +721,62 @@ int cmd_frontier(const Options& opt) {
   return 0;
 }
 
+/// Runs `cmd` if every flag on the command line is one `cmd` reads;
+/// otherwise names the first stray flag and returns the usage exit code.
+int run(const Options& opt, const std::string& cmd, int (*body)(const Options&),
+        std::initializer_list<std::string_view> flags) {
+  const std::string unknown = opt.first_unknown(flags);
+  if (!unknown.empty()) {
+    std::cerr << "error: unknown flag " << unknown << " for " << cmd << "\n";
+    return 2;
+  }
+  return body(opt);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  ftb::Options opt(argc - 1, argv + 1);
+  const ftb::Options opt(argc - 1, argv + 1, /*env_fallback=*/false);
   try {
-    if (cmd == "generate") return cmd_generate(opt);
-    if (cmd == "info") return cmd_info(opt);
-    if (cmd == "build") return cmd_build(opt);
-    if (cmd == "verify") return cmd_verify(opt);
-    if (cmd == "drill") return cmd_drill(opt);
-    if (cmd == "fsck") return cmd_fsck(opt);
-    if (cmd == "convert") return cmd_convert(opt);
-    if (cmd == "frontier") return cmd_frontier(opt);
+    if (cmd == "generate") {
+      return run(opt, cmd, cmd_generate,
+                 {"family", "out", "binary", "n", "seed", "rows", "cols", "m",
+                  "p", "extra", "k", "scale", "dims", "paths", "len", "bridge",
+                  "eps"});
+    }
+    if (cmd == "info") {
+      return run(opt, cmd, cmd_info, {"graph", "graph-format"});
+    }
+    if (cmd == "build") {
+      return run(opt, cmd, cmd_build,
+                 {"graph", "graph-format", "fault-model", "source", "sources",
+                  "eps", "seed", "site-dist", "out", "v5", "v6", "json"});
+    }
+    if (cmd == "verify") {
+      return run(opt, cmd, cmd_verify,
+                 {"graph", "graph-format", "structure", "fault-model",
+                  "nontree", "pairs", "seed", "json"});
+    }
+    if (cmd == "drill") {
+      return run(opt, cmd, cmd_drill,
+                 {"graph", "graph-format", "structure", "fault-model",
+                  "drills", "seed", "weight-seed", "json"});
+    }
+    if (cmd == "fsck") {
+      return run(opt, cmd, cmd_fsck,
+                 {"graph", "graph-format", "structure", "weight-seed",
+                  "strict", "json"});
+    }
+    if (cmd == "convert") {
+      return run(opt, cmd, cmd_convert,
+                 {"graph", "graph-format", "structure", "out", "to", "json"});
+    }
+    if (cmd == "frontier") {
+      return run(opt, cmd, cmd_frontier,
+                 {"graph", "graph-format", "source", "points"});
+    }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
