@@ -7,7 +7,7 @@
 //
 //   ./bench_multi_source [--n=2000] [--k=1,2,4,8] [--eps=0.3]
 #include "bench/bench_util.hpp"
-#include "src/core/multi_source.hpp"
+#include "src/api/ftbfs_api.hpp"
 
 using namespace ftb;
 
@@ -28,11 +28,9 @@ int main(int argc, char** argv) {
   for (const long long K : ks) {
     const auto lb =
         lb::build_multi_source(n, static_cast<std::int32_t>(K), eps);
-    EpsilonOptions opts;
-    opts.eps = eps;
     Timer timer;
-    const MultiSourceResult ms =
-        detail::build_epsilon_ftmbfs_impl(lb.graph, lb.sources, opts);
+    const api::BuildResult ms =
+        api::build(lb.graph, {.sources = lb.sources, .eps = eps});
     const double sec = timer.seconds();
     const std::int64_t budget = lb.theorem_budget();
     const double norm = std::pow(static_cast<double>(K), 1.0 - eps) *

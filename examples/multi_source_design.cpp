@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
             << "x saved by overlap)\n";
 
   std::cout << "\nverifying the contract for every center, every failure... ";
-  const std::int64_t violations = verify_multi_source(
-      g, MultiSourceResult{res.sources, res.structure, {}});
+  const std::int64_t violations =
+      verify_multi_source(res.structure, res.sources);
   std::cout << (violations == 0 ? "OK\n" : "FAILED\n");
 
   // One session serves every center: Query::source_index picks whose

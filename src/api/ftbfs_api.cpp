@@ -13,7 +13,6 @@
 
 #include "src/core/dual_fault.hpp"
 #include "src/core/fault_model.hpp"
-#include "src/core/multi_source.hpp"
 #include "src/core/replacement.hpp"
 #include "src/core/validate.hpp"
 #include "src/core/vertex_ftbfs.hpp"
@@ -41,37 +40,45 @@ void BuildSpec::validate(const Graph& g) const {
   if (fault_model == FaultClass::kEdge) {
     ftb::detail::check_epsilon(eps);
   }
+  FTB_CHECK_MSG(!site_dist_oracle || fault_model == FaultClass::kDual,
+                "invalid BuildSpec: site_dist_oracle applies only to the "
+                "dual fault model (got "
+                    << to_string(fault_model) << ")");
 }
 
 namespace {
 
 // The spec → pipeline-options mappers: the spec carries the (fault model,
 // ε, sources) triple and its production knobs, the referees the test-only
-// reroutes.
+// reroutes, and `sp` the source's fused canonical labels (null = the impl
+// runs its own canonical BFS).
 
 EpsilonOptions epsilon_options(const BuildSpec& spec,
-                               const detail::Referees& referees) {
+                               const detail::Referees& referees,
+                               const CanonicalSp* sp) {
   EpsilonOptions opts;
   opts.eps = spec.eps;
   opts.weight_seed = spec.weight_seed;
   opts.pool = spec.pool;
   opts.reference_kernel = referees.reference_kernel;
-  opts.bit_parallel = !referees.scalar_lanes;
+  opts.prebuilt_sp = sp;
   return opts;
 }
 
 VertexFtBfsOptions vertex_options(const BuildSpec& spec,
-                                  const detail::Referees& referees) {
+                                  const detail::Referees& referees,
+                                  const CanonicalSp* sp) {
   VertexFtBfsOptions opts;
   opts.weight_seed = spec.weight_seed;
   opts.pool = spec.pool;
   opts.reference_kernel = referees.reference_kernel;
-  opts.bit_parallel = !referees.scalar_lanes;
+  opts.prebuilt_sp = sp;
   return opts;
 }
 
 DualFtBfsOptions dual_options(const BuildSpec& spec,
-                              const detail::Referees& referees) {
+                              const detail::Referees& referees,
+                              const CanonicalSp* sp) {
   DualFtBfsOptions opts;
   opts.weight_seed = spec.weight_seed;
   opts.pool = spec.pool;
@@ -80,6 +87,7 @@ DualFtBfsOptions dual_options(const BuildSpec& spec,
   opts.unpruned_dual = referees.unpruned_dual;
   opts.site_dist_oracle = spec.site_dist_oracle;
   opts.dfs_schedule = spec.dual_dfs_schedule;
+  opts.prebuilt_sp = sp;
   return opts;
 }
 
@@ -93,69 +101,66 @@ BuildResult detail::build(const Graph& g, const BuildSpec& spec,
                           const Referees& referees) {
   spec.validate(g);
   Timer total;
-  std::optional<FtBfsStructure> structure;
+  // Every cell is §5's union: one single-source structure per source,
+  // merged into one subgraph (σ = 1 is a union of one). An edge is
+  // reinforced in the union if any source reinforces it — a reinforced
+  // edge never fails, so that only helps the other sources.
+  const std::vector<CanonicalSp> sps = source_canonical_sps(
+      g, EdgeWeights::uniform_random(g, spec.weight_seed), spec.sources,
+      /*fuse=*/!referees.scalar_lanes);
+  std::vector<EdgeId> edges;
+  std::vector<EdgeId> reinforced;
+  std::vector<EdgeId> tree_edges;
   std::vector<EpsilonStats> per_source;
   std::vector<DualSiteTable> dual_tables;
   std::vector<DualSiteDistTable> dual_site_dist;
+  // Each per-source tree holds up to n−1 edges; reserving up front keeps
+  // the tree-edge union from reallocating once per source.
+  tree_edges.reserve(spec.sources.size() *
+                     static_cast<std::size_t>(g.num_vertices()));
+  const auto append = [&](const FtBfsStructure& h) {
+    edges.insert(edges.end(), h.edges().begin(), h.edges().end());
+    reinforced.insert(reinforced.end(), h.reinforced().begin(),
+                      h.reinforced().end());
+    tree_edges.insert(tree_edges.end(), h.tree_edges().begin(),
+                      h.tree_edges().end());
+  };
 
-  const bool multi = spec.sources.size() > 1;
-  switch (spec.fault_model) {
-    case FaultClass::kEdge: {
-      if (!multi) {
-        EpsilonResult res = ftb::detail::build_epsilon_ftbfs_impl(
-            g, spec.sources.front(), epsilon_options(spec, referees));
+  for (std::size_t i = 0; i < spec.sources.size(); ++i) {
+    const Vertex s = spec.sources[i];
+    const CanonicalSp* sp = sps.empty() ? nullptr : &sps[i];
+    switch (spec.fault_model) {
+      case FaultClass::kEdge: {
+        const EpsilonResult res = ftb::detail::build_epsilon_ftbfs_impl(
+            g, s, epsilon_options(spec, referees, sp));
+        append(res.structure);
         per_source.push_back(res.stats);
-        structure.emplace(std::move(res.structure));
         break;
       }
-      MultiSourceResult ms = ftb::detail::build_epsilon_ftmbfs_impl(
-          g, spec.sources, epsilon_options(spec, referees));
-      per_source = std::move(ms.per_source);
-      structure.emplace(std::move(ms.structure));
-      break;
-    }
-    case FaultClass::kVertex: {
-      if (!multi) {
-        structure.emplace(ftb::detail::build_vertex_ftbfs_impl(
-            g, spec.sources.front(), vertex_options(spec, referees)));
+      case FaultClass::kVertex:
+        append(ftb::detail::build_vertex_ftbfs_impl(
+            g, s, vertex_options(spec, referees, sp)));
         break;
-      }
-      MultiSourceResult ms = ftb::detail::build_vertex_ftmbfs_impl(
-          g, spec.sources, vertex_options(spec, referees));
-      structure.emplace(std::move(ms.structure));
-      break;
-    }
-    case FaultClass::kEither: {
-      if (!multi) {
-        structure.emplace(ftb::detail::build_either_ftbfs_impl(
-            g, spec.sources.front(), vertex_options(spec, referees)));
+      case FaultClass::kEither:
+        append(ftb::detail::build_either_ftbfs_impl(
+            g, s, vertex_options(spec, referees, sp)));
         break;
-      }
-      MultiSourceResult ms = ftb::detail::build_either_ftmbfs_impl(
-          g, spec.sources, vertex_options(spec, referees));
-      structure.emplace(std::move(ms.structure));
-      break;
-    }
-    case FaultClass::kDual: {
-      if (!multi) {
+      case FaultClass::kDual: {
         DualBuildResult r = ftb::detail::build_dual_failure_ftbfs_impl(
-            g, spec.sources.front(), dual_options(spec, referees));
-        structure.emplace(std::move(r.structure));
+            g, s, dual_options(spec, referees, sp));
+        append(r.structure);
         dual_tables.push_back(std::move(r.tables));
         if (spec.site_dist_oracle) {
           dual_site_dist.push_back(std::move(r.site_dist));
         }
         break;
       }
-      DualMultiSourceResult r = ftb::detail::build_dual_failure_ftmbfs_impl(
-          g, spec.sources, dual_options(spec, referees));
-      structure.emplace(std::move(r.structure));
-      dual_tables = std::move(r.per_source);
-      dual_site_dist = std::move(r.per_source_site_dist);
-      break;
     }
   }
-  return BuildResult{spec, spec.sources, std::move(*structure),
+  FtBfsStructure structure(g, spec.sources.front(), std::move(edges),
+                           std::move(reinforced), std::move(tree_edges),
+                           spec.fault_model);
+  return BuildResult{spec, spec.sources, std::move(structure),
                      std::move(per_source), std::move(dual_tables),
                      std::move(dual_site_dist), total.seconds()};
 }
@@ -325,22 +330,18 @@ struct Session::Impl {
         serving_degraded(!load_drops.empty()),
         degradation(std::move(load_drops)),
         accel_notes(std::move(accel_drops)) {
+    // The build's fused canonical sweep, replayed: the adoption ctor is
+    // bit-identical to the scalar per-source rebuild, so the tree-union
+    // check below still guards the weight_seed contract.
+    std::vector<CanonicalSp> sps =
+        source_canonical_sps(graph, weights, sources);
     trees.reserve(sources.size());
-    if (sources.size() >= 2) {
-      // One fused kernel sweep rebuilds every per-source canonical label
-      // set; the adoption ctor below is bit-identical to the scalar
-      // per-source rebuild, so the tree-union check still guards the
-      // weight_seed contract.
-      std::vector<BfsLane> lanes(sources.size());
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        lanes[i].source = sources[i];
-      }
-      std::vector<CanonicalSp> sps = ms_canonical_sp(graph, weights, lanes);
-      for (std::size_t i = 0; i < sources.size(); ++i) {
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      if (sps.empty()) {
+        trees.emplace_back(graph, weights, sources[i]);
+      } else {
         trees.emplace_back(graph, weights, sources[i], std::move(sps[i]));
       }
-    } else {
-      for (const Vertex s : sources) trees.emplace_back(graph, weights, s);
     }
 
     // The rebuilt canonical trees must be exactly the trees the structure

@@ -9,21 +9,19 @@
 //   * BuildSpec — the full parameterization (fault model × ε × sources),
 //     validated up front with one CheckError message shape ("invalid
 //     BuildSpec: …") shared by the API, the pipeline impls and the CLI.
-//     `build(graph, spec)` dispatches to the right pipeline:
+//     `build(graph, spec)` runs one loop over the sources, calling the
+//     fault model's single-source pipeline per source and merging the
+//     results into one union (§5; σ = 1 is a union of one):
 //
-//         fault_model   sources   pipeline
-//         kEdge         1         ε FT-BFS   (S0→S1/S2→F; ε = 0 reinforced
-//                                 tree, ε ≥ 1/2 the ESA'13 baseline)
-//         kEdge         k > 1     ε FT-MBFS union (§5)
-//         kVertex       1         vertex-fault ESA'13 baseline
-//         kVertex       k > 1     vertex FT-MBFS union
-//         kEither       1         edge ∪ vertex union (one failure of
-//                                 either kind; pre-dual "dual")
-//         kEither       k > 1     per-source either unions, merged
-//         kDual         1         dual-failure recursion (two simultaneous
-//                                 failures; dual_fault.hpp) + pair tables
-//         kDual         k > 1     per-source dual structures, merged
-//                                 (Gupta–Khan multi-source setting)
+//         fault_model   per-source pipeline
+//         kEdge         ε FT-BFS (S0→S1/S2→F; ε = 0 reinforced tree,
+//                       ε ≥ 1/2 the ESA'13 baseline)
+//         kVertex       vertex-fault ESA'13 baseline
+//         kEither       edge ∪ vertex union (one failure of either kind;
+//                       pre-dual "dual")
+//         kDual         dual-failure recursion (two simultaneous failures;
+//                       dual_fault.hpp) + pair tables; σ ≥ 2 is the
+//                       Gupta–Khan multi-source setting
 //
 //   * Session — a type-erased deployment of the result (structure + tree +
 //     replacement engines per source, no templates in sight) serving a
@@ -73,12 +71,12 @@ struct BuildSpec {
   /// needs to rebuild the same canonical trees when loading from disk).
   std::uint64_t weight_seed = 0x5EED0001ULL;
   ThreadPool* pool = nullptr;  // nullptr = global pool
-  /// Dual model only: also harvest the site-local distance oracle
-  /// (per-site replacement-distance rows over C_f) while the punctured
-  /// engines are alive, so a deployed Session answers EVERY in-model pair
-  /// O(1) — zero traversals, even for non-reducible pairs. Costs memory
-  /// proportional to the tree volume; persisted by save_v5 as the
-  /// optional site-dist section.
+  /// Dual model only (validate() refuses it elsewhere): also harvest the
+  /// site-local distance oracle (per-site replacement-distance rows over
+  /// C_f) while the punctured engines are alive, so a deployed Session
+  /// answers EVERY in-model pair O(1) — zero traversals, even for
+  /// non-reducible pairs. Costs memory proportional to the tree volume;
+  /// persisted by save_v5 as the optional site-dist section.
   bool site_dist_oracle = false;
   /// Dual model only: schedule the pruned build's first-failure sites in
   /// T0 DFS order on per-thread punctured-tree workspaces, so each site's
@@ -88,9 +86,9 @@ struct BuildSpec {
   /// way (pinned by tests and the dual_dfs_schedule bench gate).
   bool dual_dfs_schedule = true;
 
-  /// Throws CheckError ("invalid BuildSpec: …") on NaN / out-of-range ε
-  /// or an empty / out-of-range / duplicated source set. build() and
-  /// Session::open() call this first.
+  /// Throws CheckError ("invalid BuildSpec: …") on NaN / out-of-range ε,
+  /// an empty / out-of-range / duplicated source set, or site_dist_oracle
+  /// on a non-dual model. build() and Session::open() call this first.
   void validate(const Graph& g) const;
 };
 
@@ -118,9 +116,9 @@ struct BuildResult {
   double seconds_total = 0;
 };
 
-/// THE build entry point: validates `spec` and dispatches to the pipeline
-/// the (fault model, source count) cell selects — see the table in the
-/// file comment. Equivalent to detail::build(g, spec, {}).
+/// THE build entry point: validates `spec` and runs the per-source union
+/// loop — see the table in the file comment. Equivalent to
+/// detail::build(g, spec, {}).
 BuildResult build(const Graph& g, const BuildSpec& spec);
 
 namespace detail {
@@ -142,7 +140,7 @@ struct Referees {
   bool unpruned_dual = false;
 };
 
-/// build() under the given referees: the one dispatch switch both entry
+/// build() under the given referees: the one per-source loop both entry
 /// points share.
 BuildResult build(const Graph& g, const BuildSpec& spec,
                   const Referees& referees);

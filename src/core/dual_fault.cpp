@@ -401,54 +401,6 @@ DualBuildResult detail::build_dual_failure_ftbfs_impl(
                          std::move(site_dist), sweep_work};
 }
 
-DualMultiSourceResult detail::build_dual_failure_ftmbfs_impl(
-    const Graph& g, const std::vector<Vertex>& sources,
-    const DualFtBfsOptions& opts) {
-  detail::check_sources(g, sources);
-  std::vector<EdgeId> edges;
-  std::vector<EdgeId> tree_edges;
-  std::vector<DualSiteTable> per_source;
-  std::vector<DualSiteDistTable> per_source_site_dist;
-  per_source.reserve(sources.size());
-  if (opts.site_dist_oracle) per_source_site_dist.reserve(sources.size());
-  // Bit-parallel: fuse the per-source T0 builds into one kernel sweep and
-  // hand each per-source build its prebuilt canonical labels. CanonicalSp is
-  // self-contained, so the locally scoped weights table is safe — each
-  // per-source impl rebuilds the identical table from the same seed.
-  std::vector<CanonicalSp> sps;
-  const bool fuse = opts.bit_parallel && sources.size() >= 2 &&
-                    opts.prebuilt_sp == nullptr;
-  if (fuse) {
-    const EdgeWeights weights =
-        EdgeWeights::uniform_random(g, opts.weight_seed);
-    std::vector<BfsLane> lanes(sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      lanes[i].source = sources[i];
-    }
-    sps = ms_canonical_sp(g, weights, lanes);
-  }
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const Vertex s = sources[i];
-    DualFtBfsOptions per = opts;
-    if (fuse) per.prebuilt_sp = &sps[i];
-    DualBuildResult r = detail::build_dual_failure_ftbfs_impl(g, s, per);
-    edges.insert(edges.end(), r.structure.edges().begin(),
-                 r.structure.edges().end());
-    tree_edges.insert(tree_edges.end(), r.structure.tree_edges().begin(),
-                      r.structure.tree_edges().end());
-    per_source.push_back(std::move(r.tables));
-    if (opts.site_dist_oracle) {
-      per_source_site_dist.push_back(std::move(r.site_dist));
-    }
-  }
-  FtBfsStructure merged(g, sources.front(), std::move(edges),
-                        /*reinforced=*/{}, std::move(tree_edges),
-                        FaultClass::kDual);
-  return DualMultiSourceResult{sources, std::move(merged),
-                               std::move(per_source),
-                               std::move(per_source_site_dist)};
-}
-
 // ---------------------------------------------------------------------------
 // DualFaultOracle
 

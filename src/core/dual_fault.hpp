@@ -170,10 +170,10 @@ struct DualFtBfsOptions {
   /// traversal-free. Off by default: it costs extra memory proportional to
   /// the tree volume.
   bool site_dist_oracle = false;
-  /// Fuse multi-source (σ ≥ 2) T0 hop phases — and, under unpruned_dual,
-  /// the per-site punctured canonical rebuilds (same source, per-lane bans)
-  /// — into bit-parallel sweeps (multi_source_bfs_kernel.hpp). Off = scalar
-  /// passes; structures and tables are bit-identical either way.
+  /// Under unpruned_dual, batch the per-site punctured canonical rebuilds
+  /// (same source, per-lane bans) into bit-parallel sweeps
+  /// (multi_source_bfs_kernel.hpp). Off = scalar passes; structures and
+  /// tables are bit-identical either way. The pruned build ignores it.
   bool bit_parallel = true;
   /// Pruned build only: walk the first-failure sites in T0 DFS order on
   /// per-thread PuncturedWorkspace arenas (dist_sweep.hpp) so each site's
@@ -204,24 +204,13 @@ struct DualBuildResult {
   SweepWorkStats sweep_work;
 };
 
-/// Multi-source variant (the Gupta–Khan setting): per-source dual
-/// structures unioned into one subgraph, per-source pair tables kept.
-struct DualMultiSourceResult {
-  std::vector<Vertex> sources;
-  FtBfsStructure structure;             // anchored at sources.front()
-  std::vector<DualSiteTable> per_source;  // aligned with sources
-  /// Aligned with sources; empty unless site_dist_oracle was requested.
-  std::vector<DualSiteDistTable> per_source_site_dist;
-};
-
 namespace detail {
-/// The dual-failure pipelines ftb::api::build dispatches to for
-/// fault_model = kDual. Validate through validate.hpp.
+/// The dual-failure pipeline ftb::api::build runs per source for
+/// fault_model = kDual (the Gupta–Khan multi-source setting is the union
+/// of the per-source structures, per-source pair tables kept). Validates
+/// through validate.hpp.
 DualBuildResult build_dual_failure_ftbfs_impl(const Graph& g, Vertex source,
                                               const DualFtBfsOptions& opts);
-DualMultiSourceResult build_dual_failure_ftmbfs_impl(
-    const Graph& g, const std::vector<Vertex>& sources,
-    const DualFtBfsOptions& opts);
 
 /// Rebuilds one source's pair tables for an already-built canonical tree
 /// (what Session::load falls back to when an artifact carries no tables).

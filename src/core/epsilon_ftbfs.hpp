@@ -63,17 +63,11 @@ struct EpsilonOptions {
   /// bit-identical; this is the bench baseline / differential-testing knob.
   bool reference_kernel = false;
 
-  /// Multi-source builds (σ ≥ 2) fuse the per-source canonical hop phases
-  /// into one bit-parallel sweep (multi_source_bfs_kernel.hpp). Off = run σ
-  /// scalar passes — the reference_kernel-style escape hatch; the produced
-  /// structures are bit-identical either way. Single-source builds ignore
-  /// the knob.
-  bool bit_parallel = true;
-
   /// Internal fusion seam: adopt these already-computed canonical labels
   /// (exactly canonical_sp(g, weights, source) for this impl's weight seed)
-  /// instead of paying the O(m) canonical BFS. Set by the multi-source
-  /// pipelines after the fused sweep; must outlive the call.
+  /// instead of paying the O(m) canonical BFS. Set by api::build's
+  /// per-source loop after the fused σ ≥ 2 sweep (source_canonical_sps);
+  /// must outlive the call.
   const CanonicalSp* prebuilt_sp = nullptr;
 };
 

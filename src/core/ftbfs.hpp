@@ -14,31 +14,10 @@
 
 namespace ftb {
 
-struct CanonicalSp;  // canonical_bfs.hpp
-
-struct FtBfsOptions {
-  /// Seed of the tie-breaking weight assignment W.
-  std::uint64_t weight_seed = 0x5EED0001ULL;
-  ThreadPool* pool = nullptr;  // nullptr = global pool
-  /// Run the engine on the naive reference kernels (bench baseline /
-  /// differential testing; output is bit-identical either way).
-  bool reference_kernel = false;
-  /// Internal fusion seam: adopt these already-computed canonical labels
-  /// (see EpsilonOptions::prebuilt_sp). Must outlive the call.
-  const CanonicalSp* prebuilt_sp = nullptr;
-};
-
-namespace detail {
-/// The ESA'13 baseline pipeline. The ftb::api facade reaches the same
-/// structure through the ε pipeline's ε ≥ 1/2 branch; the either union
-/// (vertex_ftbfs.hpp) composes on this impl directly.
-FtBfsStructure build_ftbfs_impl(const Graph& g, Vertex source,
-                                const FtBfsOptions& opts);
-}  // namespace detail
-
 /// The baseline structure H = T0 ∪ {LastE(P_{v,e}) : ⟨v,e⟩ uncovered},
 /// reusing an already-built replacement-path engine: the S0-reuse
-/// composition point internal pipelines build on.
+/// composition point internal pipelines build on (the ε pipeline's
+/// ε ≥ 1/2 branch and the either union of vertex_ftbfs.hpp).
 FtBfsStructure build_ftbfs(const ReplacementPathEngine& engine);
 
 }  // namespace ftb

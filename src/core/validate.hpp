@@ -1,7 +1,7 @@
 // validate.hpp — the one place build inputs are checked.
 //
-// Every build entry point — the ftb::api facade, the legacy per-model
-// builders it wraps, and the CLI — funnels its (ε, source set) inputs
+// Every build entry point — the ftb::api facade, the per-model pipeline
+// impls it loops over, and the CLI — funnels its (ε, source set) inputs
 // through these helpers, so a bad input produces the SAME CheckError
 // message shape everywhere:
 //

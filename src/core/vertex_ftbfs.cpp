@@ -21,37 +21,54 @@ FtBfsStructure build_vertex_ftbfs(const VertexReplacementEngine& engine) {
                         tree.tree_edges(), FaultClass::kVertex);
 }
 
+namespace {
+
+/// The canonical T0 both single-fault pipelines build their engine on:
+/// adopted from the caller's prebuilt labels when given (bit-identical to
+/// the scalar canonical BFS), else built here.
+BfsTree canonical_tree(const Graph& g, const EdgeWeights& weights,
+                       Vertex source, const VertexFtBfsOptions& opts) {
+  return opts.prebuilt_sp != nullptr
+             ? BfsTree(g, weights, source, CanonicalSp(*opts.prebuilt_sp))
+             : BfsTree(g, weights, source);
+}
+
+/// Engine config shared by both baselines: they only need last edges.
+template <typename Config>
+Config baseline_config(const VertexFtBfsOptions& opts) {
+  Config cfg;
+  cfg.pool = opts.pool;
+  cfg.reference_kernel = opts.reference_kernel;
+  cfg.collect_detours = false;
+  return cfg;
+}
+
+}  // namespace
+
 FtBfsStructure detail::build_vertex_ftbfs_impl(const Graph& g, Vertex source,
                                                const VertexFtBfsOptions& opts) {
   detail::check_source(g, source);
   const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
-  const BfsTree tree = opts.prebuilt_sp != nullptr
-                           ? BfsTree(g, weights, source,
-                                     CanonicalSp(*opts.prebuilt_sp))
-                           : BfsTree(g, weights, source);
-  VertexReplacementEngine::Config cfg;
-  cfg.pool = opts.pool;
-  cfg.reference_kernel = opts.reference_kernel;
-  cfg.collect_detours = false;  // the baseline only needs last edges
-  const VertexReplacementEngine engine(tree, cfg);
+  const BfsTree tree = canonical_tree(g, weights, source, opts);
+  const VertexReplacementEngine engine(
+      tree, baseline_config<VertexReplacementEngine::Config>(opts));
   return build_vertex_ftbfs(engine);
 }
 
 FtBfsStructure detail::build_either_ftbfs_impl(const Graph& g, Vertex source,
                                                const VertexFtBfsOptions& opts) {
-  FtBfsOptions eopts;
-  eopts.weight_seed = opts.weight_seed;
-  eopts.pool = opts.pool;
-  eopts.reference_kernel = opts.reference_kernel;
-  // Both halves of the union share one canonical tree, so one prebuilt
-  // label set serves the edge and the vertex build alike.
-  eopts.prebuilt_sp = opts.prebuilt_sp;
-  const FtBfsStructure edge_h = detail::build_ftbfs_impl(g, source, eopts);
-  const FtBfsStructure vertex_h =
-      detail::build_vertex_ftbfs_impl(g, source, opts);
+  detail::check_source(g, source);
+  // Both halves of the union share one canonical tree: build it once and
+  // run the edge and the vertex engine on it.
+  const EdgeWeights weights = EdgeWeights::uniform_random(g, opts.weight_seed);
+  const BfsTree tree = canonical_tree(g, weights, source, opts);
+  const FtBfsStructure edge_h = build_ftbfs(ReplacementPathEngine(
+      tree, baseline_config<ReplacementPathEngine::Config>(opts)));
+  const FtBfsStructure vertex_h = build_vertex_ftbfs(VertexReplacementEngine(
+      tree, baseline_config<VertexReplacementEngine::Config>(opts)));
   std::vector<EdgeId> edges = edge_h.edges();
   edges.insert(edges.end(), vertex_h.edges().begin(), vertex_h.edges().end());
-  return FtBfsStructure(g, source, std::move(edges), {}, edge_h.tree_edges(),
+  return FtBfsStructure(g, source, std::move(edges), {}, tree.tree_edges(),
                         FaultClass::kEither);
 }
 

@@ -39,9 +39,6 @@ struct VertexFtBfsOptions {
   /// Run the engine on the naive reference kernels (bench baseline /
   /// differential testing; output is bit-identical either way).
   bool reference_kernel = false;
-  /// Fuse multi-source (σ ≥ 2) hop phases into one bit-parallel sweep
-  /// (multi_source_bfs_kernel.hpp); off = σ scalar passes, bit-identical.
-  bool bit_parallel = true;
   /// Internal fusion seam: adopt these already-computed canonical labels
   /// (see EpsilonOptions::prebuilt_sp). Must outlive the call.
   const CanonicalSp* prebuilt_sp = nullptr;

@@ -394,4 +394,16 @@ std::vector<CanonicalSp> ms_canonical_sp(const Graph& g,
   return ms_canonical_sp(g, weights, lanes, *lease);
 }
 
+std::vector<CanonicalSp> source_canonical_sps(const Graph& g,
+                                              const EdgeWeights& weights,
+                                              std::span<const Vertex> sources,
+                                              bool fuse) {
+  if (!fuse || sources.size() < 2) return {};
+  std::vector<BfsLane> lanes(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    lanes[i].source = sources[i];
+  }
+  return ms_canonical_sp(g, weights, lanes);
+}
+
 }  // namespace ftb

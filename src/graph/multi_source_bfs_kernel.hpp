@@ -1,7 +1,7 @@
 // multi_source_bfs_kernel.hpp — the bit-parallel multi-source BFS kernel
 // and its epoch-stamped lane scratch.
 //
-// The FT-MBFS union, the multi-source facade pipelines, and the dual-failure
+// The FT-MBFS union build, the multi-source Session, and the dual-failure
 // punctured rebuilds all run σ independent BFS traversals whose frontiers
 // overlap heavily. This kernel fuses them (MS-BFS, Then et al., VLDB'14 /
 // the masked-SpMV idiom): each vertex carries a σ-wide frontier bitset —
@@ -160,8 +160,7 @@ class MultiSourceBfsKernel {
 /// over all lanes, then the shared canonical parent rule
 /// (pick_canonical_parent) replayed per lane in layer order. Element i is
 /// bit-identical to canonical_sp(g, weights, lanes[i].source,
-/// lanes[i].bans) — the fusion seam the multi-source pipelines build their
-/// trees from.
+/// lanes[i].bans) — the fusion seam multi-source trees are built from.
 std::vector<CanonicalSp> ms_canonical_sp(const Graph& g,
                                          const EdgeWeights& weights,
                                          std::span<const BfsLane> lanes,
@@ -171,6 +170,17 @@ std::vector<CanonicalSp> ms_canonical_sp(const Graph& g,
 std::vector<CanonicalSp> ms_canonical_sp(const Graph& g,
                                          const EdgeWeights& weights,
                                          std::span<const BfsLane> lanes);
+
+/// The per-source canonical T0 labels of a σ-source build or deployment:
+/// element i is canonical_sp(g, weights, sources[i]), all from ONE fused
+/// ms_canonical_sp sweep. Returns empty — callers then run the scalar
+/// canonical BFS per source — when there is nothing to fuse (σ = 1) or
+/// `fuse` is off (the scalar-lanes referee). The one place the σ-fusion
+/// rule lives: api::detail::build and the Session both call it.
+std::vector<CanonicalSp> source_canonical_sps(const Graph& g,
+                                              const EdgeWeights& weights,
+                                              std::span<const Vertex> sources,
+                                              bool fuse = true);
 
 /// Process-wide pool of warm kernels (lock-free; see free_list_pool.hpp).
 const FreeListPool<MultiSourceBfsKernel>& multi_source_kernel_pool();

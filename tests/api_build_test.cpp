@@ -4,7 +4,8 @@
 // under each byte-identical differential referee (api::detail::build with
 // the reference kernels, then with scalar σ-lanes) in every (fault model ×
 // source count) cell: same edges, same reinforced set, same tree edges, same
-// fault tag, same ε telemetry and dual pair tables. Plus the shared "invalid
+// fault tag, same ε telemetry and dual pair tables — and equal, in every
+// cell, to a golden CRC of its v5 artifact bytes. Plus the shared "invalid
 // BuildSpec" validation shape and the Session save/load round trip
 // (structure_io v3 keeps the multi-source set).
 #include <gtest/gtest.h>
@@ -12,13 +13,14 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <map>
 #include <sstream>
 
 #include "src/api/ftbfs_api.hpp"
-#include "src/core/multi_source.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/io/structure_io.hpp"
+#include "src/util/crc32c.hpp"
 #include "tests/test_util.hpp"
 
 namespace ftb {
@@ -91,6 +93,141 @@ TEST(ApiBuild, FacadeMatchesByteIdenticalRefereesInEveryCell) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden pin: the facade's artifact bytes in every cell, as constants.
+//
+// The referee differential above compares two builds that share the
+// dispatch code; this pin compares against fixed values, so any change to
+// the build's output in any (family × model × σ × ε) cell shows up here.
+
+/// "<CRC-32C of the v5 artifact> [<structure_edges>/<reinforced> per
+/// source]" — the v5 bytes cover the edge partition, fault tag, source set,
+/// pair tables and site-dist rows.
+std::string pin_of(const api::BuildResult& r) {
+  std::ostringstream artifact;
+  io::write_structure_v5(r.structure, r.sources, r.dual_tables,
+                         r.dual_site_dist, artifact);
+  std::ostringstream pin;
+  pin << std::hex << crc32c(artifact.str()) << std::dec;
+  for (const EpsilonStats& st : r.per_source) {
+    pin << ' ' << st.structure_edges << '/' << st.reinforced;
+  }
+  return pin.str();
+}
+
+TEST(ApiBuild, FacadeOutputIsPinnedInEveryCell) {
+  const std::map<std::string, std::string> pinned = {
+      {"grid6x7 edge sigma=1 eps=0", "8ead1849 41/41"},
+      {"grid6x7 edge sigma=1 eps=0.25", "362c38c0 71/0"},
+      {"grid6x7 edge sigma=1 eps=0.45", "362c38c0 71/0"},
+      {"grid6x7 edge sigma=1 eps=0.6", "362c38c0 71/0"},
+      {"grid6x7 edge sigma=1 eps=1", "362c38c0 71/0"},
+      {"grid6x7 edge sigma=3 eps=0", "7af54b1b 41/41 41/41 41/41"},
+      {"grid6x7 edge sigma=3 eps=0.25", "38cf888c 71/0 71/0 71/0"},
+      {"grid6x7 edge sigma=3 eps=0.45", "38cf888c 71/0 71/0 71/0"},
+      {"grid6x7 edge sigma=3 eps=0.6", "38cf888c 71/0 71/0 71/0"},
+      {"grid6x7 edge sigma=3 eps=1", "38cf888c 71/0 71/0 71/0"},
+      {"grid6x7 vertex sigma=1 eps=0.25", "e7e0a6c"},
+      {"grid6x7 vertex sigma=3 eps=0.25", "6878f31d"},
+      {"grid6x7 either sigma=1 eps=0.25", "b52b1d77"},
+      {"grid6x7 either sigma=3 eps=0.25", "50a2c6c2"},
+      {"grid6x7 dual sigma=1 eps=0.25", "61b810f9"},
+      {"grid6x7 dual sigma=3 eps=0.25", "888c760b"},
+      {"gnm50 edge sigma=1 eps=0", "3ac8e846 49/49"},
+      {"gnm50 edge sigma=1 eps=0.25", "f5494990 92/0"},
+      {"gnm50 edge sigma=1 eps=0.45", "f5494990 92/0"},
+      {"gnm50 edge sigma=1 eps=0.6", "f5494990 92/0"},
+      {"gnm50 edge sigma=1 eps=1", "f5494990 92/0"},
+      {"gnm50 edge sigma=3 eps=0", "2849a9ae 49/49 49/49 49/49"},
+      {"gnm50 edge sigma=3 eps=0.25", "5ddd9e02 92/0 92/0 93/0"},
+      {"gnm50 edge sigma=3 eps=0.45", "5ddd9e02 92/0 92/0 93/0"},
+      {"gnm50 edge sigma=3 eps=0.6", "5ddd9e02 92/0 92/0 93/0"},
+      {"gnm50 edge sigma=3 eps=1", "5ddd9e02 92/0 92/0 93/0"},
+      {"gnm50 vertex sigma=1 eps=0.25", "94f3046"},
+      {"gnm50 vertex sigma=3 eps=0.25", "5fd89f0d"},
+      {"gnm50 either sigma=1 eps=0.25", "135565b4"},
+      {"gnm50 either sigma=3 eps=0.25", "afb13caf"},
+      {"gnm50 dual sigma=1 eps=0.25", "c3d2a071"},
+      {"gnm50 dual sigma=3 eps=0.25", "92923236"},
+      {"conn64 edge sigma=1 eps=0", "3b915f4e 63/63"},
+      {"conn64 edge sigma=1 eps=0.25", "e403c7e4 117/0"},
+      {"conn64 edge sigma=1 eps=0.45", "e403c7e4 117/0"},
+      {"conn64 edge sigma=1 eps=0.6", "e403c7e4 117/0"},
+      {"conn64 edge sigma=1 eps=1", "e403c7e4 117/0"},
+      {"conn64 edge sigma=3 eps=0", "af8686b5 63/63 63/63 63/63"},
+      {"conn64 edge sigma=3 eps=0.25", "52d12f17 117/0 112/0 114/0"},
+      {"conn64 edge sigma=3 eps=0.45", "52d12f17 117/0 112/0 114/0"},
+      {"conn64 edge sigma=3 eps=0.6", "52d12f17 117/0 112/0 114/0"},
+      {"conn64 edge sigma=3 eps=1", "52d12f17 117/0 112/0 114/0"},
+      {"conn64 vertex sigma=1 eps=0.25", "7429e07"},
+      {"conn64 vertex sigma=3 eps=0.25", "ef9ff497"},
+      {"conn64 either sigma=1 eps=0.25", "61ce7635"},
+      {"conn64 either sigma=3 eps=0.25", "eae4a34e"},
+      {"conn64 dual sigma=1 eps=0.25", "65d14b8d"},
+      {"conn64 dual sigma=3 eps=0.25", "69c7a947"},
+      {"lollipop edge sigma=1 eps=0", "22d3fc90 19/19"},
+      {"lollipop edge sigma=1 eps=0.25", "a32d9189 29/0"},
+      {"lollipop edge sigma=1 eps=0.45", "a32d9189 29/0"},
+      {"lollipop edge sigma=1 eps=0.6", "a32d9189 29/0"},
+      {"lollipop edge sigma=1 eps=1", "a32d9189 29/0"},
+      {"lollipop edge sigma=3 eps=0", "a3e9c7c9 19/19 19/19 19/19"},
+      {"lollipop edge sigma=3 eps=0.25", "d00c0247 29/0 29/0 29/0"},
+      {"lollipop edge sigma=3 eps=0.45", "d00c0247 29/0 29/0 29/0"},
+      {"lollipop edge sigma=3 eps=0.6", "d00c0247 29/0 29/0 29/0"},
+      {"lollipop edge sigma=3 eps=1", "d00c0247 29/0 29/0 29/0"},
+      {"lollipop vertex sigma=1 eps=0.25", "947888c3"},
+      {"lollipop vertex sigma=3 eps=0.25", "2939aa6d"},
+      {"lollipop either sigma=1 eps=0.25", "6589eaa7"},
+      {"lollipop either sigma=3 eps=0.25", "fc8b95cc"},
+      {"lollipop dual sigma=1 eps=0.25", "d77b597"},
+      {"lollipop dual sigma=3 eps=0.25", "cf2a2552"},
+      {"conn64 dual sigma=3 site_dist", "767b9c86"},
+  };
+  std::size_t cells = 0;
+  const auto check = [&](const std::string& cell, const api::BuildSpec& spec,
+                         const Graph& g) {
+    ++cells;
+    const std::string got = pin_of(api::build(g, spec));
+    const auto it = pinned.find(cell);
+    if (it == pinned.end()) {
+      ADD_FAILURE() << "unpinned cell {\"" << cell << "\", \"" << got
+                    << "\"},";
+      return;
+    }
+    EXPECT_EQ(it->second, got) << cell;
+  };
+  for (const auto& fc : diff_families()) {
+    const Vertex n = fc.graph.num_vertices();
+    for (const FaultClass model : {FaultClass::kEdge, FaultClass::kVertex,
+                                   FaultClass::kEither, FaultClass::kDual}) {
+      for (const std::vector<Vertex>& sources :
+           {std::vector<Vertex>{fc.source},
+            std::vector<Vertex>{fc.source, n / 2, n - 1}}) {
+        const std::vector<double> eps_values =
+            model == FaultClass::kEdge
+                ? std::vector<double>{0.0, 0.25, 0.45, 0.6, 1.0}
+                : std::vector<double>{0.25};
+        for (const double eps : eps_values) {
+          std::ostringstream cell;
+          cell << fc.name << ' ' << to_string(model)
+               << " sigma=" << sources.size() << " eps=" << eps;
+          check(cell.str(),
+                {.fault_model = model, .sources = sources, .eps = eps},
+                fc.graph);
+        }
+      }
+    }
+  }
+  const test::FamilyCase fc = diff_families()[2];
+  const Vertex n = fc.graph.num_vertices();
+  check(fc.name + " dual sigma=3 site_dist",
+        {.fault_model = FaultClass::kDual,
+         .sources = {fc.source, n / 2, n - 1},
+         .site_dist_oracle = true},
+        fc.graph);
+  EXPECT_EQ(cells, pinned.size());
+}
+
+// ---------------------------------------------------------------------------
 // Validation: one CheckError message shape everywhere.
 
 void expect_invalid_spec(const Graph& g, const api::BuildSpec& spec) {
@@ -134,6 +271,18 @@ TEST(ApiBuildValidation, RejectsBadSourceSets) {
   }
 }
 
+TEST(ApiBuildValidation, RejectsSiteDistOracleOffTheDualModel) {
+  // The site-local oracle indexes dual pair tables; every other model has
+  // none, so asking for it is refused rather than silently dropped.
+  const Graph g = gen::grid_graph(4, 4);
+  for (const FaultClass model :
+       {FaultClass::kEdge, FaultClass::kVertex, FaultClass::kEither}) {
+    expect_invalid_spec(g, {.fault_model = model, .site_dist_oracle = true});
+  }
+  EXPECT_NO_THROW(api::build(
+      g, {.fault_model = FaultClass::kDual, .site_dist_oracle = true}));
+}
+
 TEST(ApiBuildValidation, PipelineImplsShareTheMessageShape) {
   // The detail::*_impl pipelines validate through validate.hpp, so a bad
   // input reads the same whether it arrives through the facade or not.
@@ -151,7 +300,6 @@ TEST(ApiBuildValidation, PipelineImplsShareTheMessageShape) {
   EpsilonOptions nan_eps;
   nan_eps.eps = std::numeric_limits<double>::quiet_NaN();
   expect_invalid([&] { detail::build_epsilon_ftbfs_impl(g, 0, nan_eps); });
-  expect_invalid([&] { detail::build_epsilon_ftmbfs_impl(g, {}, {}); });
   expect_invalid([&] { detail::build_vertex_ftbfs_impl(g, -1, {}); });
 }
 

@@ -11,8 +11,8 @@
 # Covered refusals: unknown command / empty argv, bad --fault-model,
 # malformed --sources (including the trailing-garbage form "5x" that a
 # lenient strtoll would silently truncate), bad --graph-format, a missing
-# graph file, --eps on a non-edge pipeline, --site-dist without v5/v6
-# persistence, flags the subcommand does not read (a typo, the removed
+# graph file, --eps on a non-edge pipeline, --site-dist on a non-dual
+# pipeline or without v5/v6 persistence, flags the subcommand does not read (a typo, the removed
 # --dual-dfs-schedule), and structure upgrade / verify on a truncated
 # v5/v6 artifact. Flags come from argv only: an FTBFS_* environment
 # variable must not change a build.
@@ -100,6 +100,19 @@ expect_fail eps_on_dual \
 expect_fail site_dist_without_v5 \
   "$CLI" build --graph="$GRAPH" --fault-model=dual --site-dist \
   --out="$TMP/x.ftbfs"
+# --site-dist on a model without pair tables: BuildSpec::validate refuses
+# it (exit 1, the spec field named on stderr) instead of dropping it.
+"$CLI" build --graph="$GRAPH" --fault-model=edge --site-dist \
+  >"$TMP/out.site_dist_on_edge" 2>"$TMP/err.site_dist_on_edge"
+rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q site_dist "$TMP/err.site_dist_on_edge" ||
+   [ -s "$TMP/out.site_dist_on_edge" ]; then
+  echo "FAIL(site_dist_on_edge): exit $rc, expected 1 naming site_dist:"
+  sed 's/^/    /' "$TMP/err.site_dist_on_edge" "$TMP/out.site_dist_on_edge"
+  fails=$((fails + 1))
+else
+  echo "ok(site_dist_on_edge): exit 1, site_dist named"
+fi
 expect_unknown_flag typo_flag --espilon \
   "$CLI" build --graph="$GRAPH" --espilon=0.9
 expect_unknown_flag removed_dual_dfs_schedule_flag --dual-dfs-schedule \

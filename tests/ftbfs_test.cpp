@@ -62,15 +62,17 @@ TEST_P(FtBfsFamilyTest, ContainsItsTree) {
 }
 
 TEST_P(FtBfsFamilyTest, DeterministicGivenSeed) {
+  // The engine-reuse overload on the canonical tree of one weight seed.
+  const auto baseline = [](const test::FamilyCase& fc) {
+    const EdgeWeights w = EdgeWeights::uniform_random(fc.graph, 1234);
+    const BfsTree tree(fc.graph, w, fc.source);
+    ReplacementPathEngine::Config cfg;
+    cfg.collect_detours = false;
+    return build_ftbfs(ReplacementPathEngine(tree, cfg));
+  };
   const test::FamilyCase fc1 = find_family(GetParam());
   const test::FamilyCase fc2 = find_family(GetParam());
-  FtBfsOptions opts;
-  opts.weight_seed = 1234;
-  const FtBfsStructure h1 =
-      detail::build_ftbfs_impl(fc1.graph, fc1.source, opts);
-  const FtBfsStructure h2 =
-      detail::build_ftbfs_impl(fc2.graph, fc2.source, opts);
-  EXPECT_EQ(h1.edges(), h2.edges());
+  EXPECT_EQ(baseline(fc1).edges(), baseline(fc2).edges());
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, FtBfsFamilyTest,

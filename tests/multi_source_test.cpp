@@ -5,6 +5,7 @@
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/multi_source.hpp"
+#include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/lower_bound.hpp"
 #include "tests/property_test_util.hpp"
@@ -15,11 +16,8 @@ namespace {
 TEST(MultiSource, ContractHoldsForEverySource) {
   const Graph g = gen::gnm(40, 150, 77);
   const std::vector<Vertex> sources{0, 7, 23};
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  const MultiSourceResult ms =
-      detail::build_epsilon_ftmbfs_impl(g, sources, opts);
-  EXPECT_EQ(verify_multi_source(g, ms), 0);
+  const api::BuildResult ms = api::build(g, {.sources = sources, .eps = 0.3});
+  EXPECT_EQ(verify_multi_source(ms.structure, sources), 0);
 }
 
 TEST(MultiSource, PropertySweepContractHoldsOnEveryFamily) {
@@ -29,14 +27,13 @@ TEST(MultiSource, PropertySweepContractHoldsOnEveryFamily) {
     const Vertex n = pc.graph.num_vertices();
     ASSERT_GE(n, 9);
     const std::vector<Vertex> sources{0, n / 3, (2 * n) / 3};
-    EpsilonOptions opts;
-    opts.eps = 0.3;
-    const MultiSourceResult ms =
-        detail::build_epsilon_ftmbfs_impl(pc.graph, sources, opts);
-    EXPECT_EQ(verify_multi_source(pc.graph, ms), 0) << pc.name();
-    const MultiSourceResult vms =
-        detail::build_vertex_ftmbfs_impl(pc.graph, sources, {});
-    EXPECT_EQ(verify_vertex_multi_source(pc.graph, vms), 0) << pc.name();
+    const api::BuildResult ms =
+        api::build(pc.graph, {.sources = sources, .eps = 0.3});
+    EXPECT_EQ(verify_multi_source(ms.structure, sources), 0) << pc.name();
+    const api::BuildResult vms = api::build(
+        pc.graph, {.fault_model = FaultClass::kVertex, .sources = sources});
+    EXPECT_EQ(verify_vertex_multi_source(vms.structure, sources), 0)
+        << pc.name();
   }
 }
 
@@ -44,11 +41,9 @@ TEST(MultiSource, ContractHoldsAtEndpointEps) {
   const Graph g = gen::random_connected(36, 60, 5);
   const std::vector<Vertex> sources{0, 18};
   for (const double eps : {0.0, 0.5, 1.0}) {
-    EpsilonOptions opts;
-    opts.eps = eps;
-    const MultiSourceResult ms =
-        detail::build_epsilon_ftmbfs_impl(g, sources, opts);
-    EXPECT_EQ(verify_multi_source(g, ms), 0) << "eps=" << eps;
+    const api::BuildResult ms =
+        api::build(g, {.sources = sources, .eps = eps});
+    EXPECT_EQ(verify_multi_source(ms.structure, sources), 0) << "eps=" << eps;
   }
 }
 
@@ -57,8 +52,8 @@ TEST(MultiSource, UnionDominatesEverySingleSource) {
   const std::vector<Vertex> sources{0, 5, 11};
   EpsilonOptions opts;
   opts.eps = 0.25;
-  const MultiSourceResult ms =
-      detail::build_epsilon_ftmbfs_impl(g, sources, opts);
+  const api::BuildResult ms =
+      api::build(g, {.sources = sources, .eps = opts.eps});
   for (const Vertex s : sources) {
     const EpsilonResult single = detail::build_epsilon_ftbfs_impl(g, s, opts);
     EXPECT_GE(ms.structure.num_edges(), single.structure.num_edges());
@@ -71,10 +66,7 @@ TEST(MultiSource, UnionDominatesEverySingleSource) {
 TEST(MultiSource, PerSourceStatsAligned) {
   const Graph g = gen::gnm(30, 100, 83);
   const std::vector<Vertex> sources{2, 9};
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  const MultiSourceResult ms =
-      detail::build_epsilon_ftmbfs_impl(g, sources, opts);
+  const api::BuildResult ms = api::build(g, {.sources = sources, .eps = 0.3});
   ASSERT_EQ(ms.per_source.size(), sources.size());
   for (const auto& st : ms.per_source) {
     EXPECT_EQ(st.n, g.num_vertices());
@@ -84,22 +76,22 @@ TEST(MultiSource, PerSourceStatsAligned) {
 
 TEST(MultiSource, WorksOnTheTheorem54Graph) {
   const auto lb = lb::build_multi_source(400, 2, 0.3);
-  EpsilonOptions opts;
-  opts.eps = 0.3;
-  const MultiSourceResult ms =
-      detail::build_epsilon_ftmbfs_impl(lb.graph, lb.sources, opts);
+  const api::BuildResult ms =
+      api::build(lb.graph, {.sources = lb.sources, .eps = 0.3});
   // Spot-verify (cap failures for runtime).
-  EXPECT_EQ(verify_multi_source(lb.graph, ms, /*max_failures=*/150), 0);
+  EXPECT_EQ(
+      verify_multi_source(ms.structure, lb.sources, /*max_failures=*/150), 0);
   // Certified bound holds for the union as well.
   EXPECT_GE(ms.structure.num_backup(),
             lb.certified_min_backup(ms.structure.num_reinforced()));
 }
 
 TEST(MultiSource, SingleSourceDegeneratesToEpsilonFtBfs) {
+  // The facade's union of one is the raw single-source ε pipeline.
   const Graph g = gen::gnm(30, 110, 85);
   EpsilonOptions opts;
   opts.eps = 0.3;
-  const MultiSourceResult ms = detail::build_epsilon_ftmbfs_impl(g, {4}, opts);
+  const api::BuildResult ms = api::build(g, {.sources = {4}, .eps = opts.eps});
   const EpsilonResult single = detail::build_epsilon_ftbfs_impl(g, 4, opts);
   EXPECT_EQ(ms.structure.edges(), single.structure.edges());
   EXPECT_EQ(ms.structure.reinforced(), single.structure.reinforced());
@@ -107,22 +99,26 @@ TEST(MultiSource, SingleSourceDegeneratesToEpsilonFtBfs) {
 
 TEST(MultiSource, EmptySourcesRejected) {
   const Graph g = gen::path_graph(4);
-  EXPECT_THROW(detail::build_epsilon_ftmbfs_impl(g, {}, {}), CheckError);
-  EXPECT_THROW(detail::build_vertex_ftmbfs_impl(g, {}, {}), CheckError);
+  EXPECT_THROW(api::build(g, {.sources = {}}), CheckError);
+  EXPECT_THROW(
+      api::build(g, {.fault_model = FaultClass::kVertex, .sources = {}}),
+      CheckError);
 }
 
 TEST(MultiSource, VertexUnionContractHoldsForEverySource) {
   const Graph g = gen::gnm(40, 150, 87);
   const std::vector<Vertex> sources{0, 7, 23};
-  const MultiSourceResult ms = detail::build_vertex_ftmbfs_impl(g, sources, {});
+  const api::BuildResult ms =
+      api::build(g, {.fault_model = FaultClass::kVertex, .sources = sources});
   EXPECT_EQ(ms.structure.fault_class(), FaultClass::kVertex);
-  EXPECT_EQ(verify_vertex_multi_source(g, ms), 0);
+  EXPECT_EQ(verify_vertex_multi_source(ms.structure, sources), 0);
 }
 
 TEST(MultiSource, VertexUnionDominatesEverySingleSource) {
   const Graph g = gen::gnm(36, 140, 89);
   const std::vector<Vertex> sources{0, 5, 11};
-  const MultiSourceResult ms = detail::build_vertex_ftmbfs_impl(g, sources, {});
+  const api::BuildResult ms =
+      api::build(g, {.fault_model = FaultClass::kVertex, .sources = sources});
   for (const Vertex s : sources) {
     const FtBfsStructure single =
         api::build(g, {.fault_model = FaultClass::kVertex, .sources = {s}})
@@ -134,22 +130,19 @@ TEST(MultiSource, VertexUnionDominatesEverySingleSource) {
 }
 
 TEST(MultiSource, BitParallelKnobIsByteIdenticalAcrossUnions) {
-  // The fused multi-source kernel vs σ scalar canonical builds: every union
-  // flavor must emit the same structure byte for byte with the knob on or
-  // off, across the property harness's adversarial families.
+  // The fused multi-source kernel vs σ scalar canonical builds (the
+  // scalar-lanes referee): every union flavor must emit the same structure
+  // byte for byte either way, across the property harness's adversarial
+  // families.
+  const api::detail::Referees scalar{.scalar_lanes = true};
   for (const test::PropertyCase& pc : test::property_cases(30, 1)) {
     FTB_PROPERTY_TRACE(pc, "multi_source_test");
     const Vertex n = pc.graph.num_vertices();
     const std::vector<Vertex> sources{0, n / 3, (2 * n) / 3};
 
-    EpsilonOptions eps_on;
-    eps_on.eps = 0.3;
-    EpsilonOptions eps_off = eps_on;
-    eps_off.bit_parallel = false;
-    const MultiSourceResult ea =
-        detail::build_epsilon_ftmbfs_impl(pc.graph, sources, eps_on);
-    const MultiSourceResult eb =
-        detail::build_epsilon_ftmbfs_impl(pc.graph, sources, eps_off);
+    const api::BuildSpec eps_spec{.sources = sources, .eps = 0.3};
+    const api::BuildResult ea = api::build(pc.graph, eps_spec);
+    const api::BuildResult eb = api::detail::build(pc.graph, eps_spec, scalar);
     EXPECT_EQ(ea.structure.edges(), eb.structure.edges()) << pc.name();
     EXPECT_EQ(ea.structure.reinforced(), eb.structure.reinforced())
         << pc.name();
@@ -162,21 +155,18 @@ TEST(MultiSource, BitParallelKnobIsByteIdenticalAcrossUnions) {
           << pc.name() << " source " << i;
     }
 
-    VertexFtBfsOptions v_on;
-    VertexFtBfsOptions v_off;
-    v_off.bit_parallel = false;
-    const MultiSourceResult va =
-        detail::build_vertex_ftmbfs_impl(pc.graph, sources, v_on);
-    const MultiSourceResult vb =
-        detail::build_vertex_ftmbfs_impl(pc.graph, sources, v_off);
+    const api::BuildSpec v_spec{.fault_model = FaultClass::kVertex,
+                                .sources = sources};
+    const api::BuildResult va = api::build(pc.graph, v_spec);
+    const api::BuildResult vb = api::detail::build(pc.graph, v_spec, scalar);
     EXPECT_EQ(va.structure.edges(), vb.structure.edges()) << pc.name();
     EXPECT_EQ(va.structure.tree_edges(), vb.structure.tree_edges())
         << pc.name();
 
-    const MultiSourceResult ma =
-        detail::build_either_ftmbfs_impl(pc.graph, sources, v_on);
-    const MultiSourceResult mb =
-        detail::build_either_ftmbfs_impl(pc.graph, sources, v_off);
+    const api::BuildSpec m_spec{.fault_model = FaultClass::kEither,
+                                .sources = sources};
+    const api::BuildResult ma = api::build(pc.graph, m_spec);
+    const api::BuildResult mb = api::detail::build(pc.graph, m_spec, scalar);
     EXPECT_EQ(ma.structure.edges(), mb.structure.edges()) << pc.name();
     EXPECT_EQ(ma.structure.tree_edges(), mb.structure.tree_edges())
         << pc.name();
@@ -184,11 +174,11 @@ TEST(MultiSource, BitParallelKnobIsByteIdenticalAcrossUnions) {
 }
 
 TEST(MultiSource, VertexSingleSourceDegeneratesToBaseline) {
+  // The facade's union of one is the raw single-source vertex pipeline.
   const Graph g = gen::gnm(30, 110, 91);
-  const MultiSourceResult ms = detail::build_vertex_ftmbfs_impl(g, {4}, {});
-  const FtBfsStructure single =
-      api::build(g, {.fault_model = FaultClass::kVertex, .sources = {4}})
-          .structure;
+  const api::BuildResult ms =
+      api::build(g, {.fault_model = FaultClass::kVertex, .sources = {4}});
+  const FtBfsStructure single = detail::build_vertex_ftbfs_impl(g, 4, {});
   EXPECT_EQ(ms.structure.edges(), single.edges());
   EXPECT_EQ(ms.structure.tree_edges(), single.tree_edges());
 }

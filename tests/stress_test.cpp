@@ -6,6 +6,7 @@
 // every distance.
 #include <gtest/gtest.h>
 
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/multi_source.hpp"
@@ -75,13 +76,17 @@ TEST_P(StressSweep, BaselineAndVertexBaselineSurvive) {
   const StressCase c = GetParam();
   if (c.eps != 0.12) return;  // fault models don't depend on ε
   const Graph g = make_graph(c.name, c.seed);
-  FtBfsOptions opts;
-  opts.weight_seed = c.seed * 104729;
-  const FtBfsStructure eh = detail::build_ftbfs_impl(g, 0, opts);
+  // Both baselines through the engine-reuse overloads, on one tree.
+  const EdgeWeights w = EdgeWeights::uniform_random(g, c.seed * 104729);
+  const BfsTree tree(g, w, 0);
+  ReplacementPathEngine::Config cfg;
+  cfg.collect_detours = false;
+  const FtBfsStructure eh = build_ftbfs(ReplacementPathEngine(tree, cfg));
   EXPECT_TRUE(verify_structure(eh).ok) << case_name(c);
-  VertexFtBfsOptions vopts;
-  vopts.weight_seed = c.seed * 104729;
-  const FtBfsStructure vh = detail::build_vertex_ftbfs_impl(g, 0, vopts);
+  VertexReplacementEngine::Config vcfg;
+  vcfg.collect_detours = false;
+  const FtBfsStructure vh =
+      build_vertex_ftbfs(VertexReplacementEngine(tree, vcfg));
   EXPECT_EQ(verify_vertex_structure(vh), 0) << case_name(c);
 }
 
@@ -103,11 +108,10 @@ TEST(Stress, ManySourcesOnOneGraph) {
     for (std::size_t k = 0; k < sigma; ++k) {
       sources.push_back(static_cast<Vertex>(3 * k));
     }
-    EpsilonOptions opts;
-    opts.eps = 0.25;
-    const MultiSourceResult ms =
-        detail::build_epsilon_ftmbfs_impl(g, sources, opts);
-    ASSERT_EQ(verify_multi_source(g, ms), 0) << "sigma " << sigma;
+    const api::BuildResult ms =
+        api::build(g, {.sources = sources, .eps = 0.25});
+    ASSERT_EQ(verify_multi_source(ms.structure, sources), 0)
+        << "sigma " << sigma;
 
     BfsScratch truth;
     for (const Vertex s : sources) {

@@ -7,7 +7,6 @@
 #include "src/core/dual_fault.hpp"
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/ftbfs.hpp"
-#include "src/core/multi_source.hpp"
 #include "src/core/verifier.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/generators.hpp"
@@ -98,10 +97,7 @@ TEST(StructureIo, EveryDocumentedVersionRoundTrips) {
     EXPECT_EQ(back.tree_edges(), h.tree_edges());
   }
   {  // v3 — multi-source artifact keeps its source set.
-    EpsilonOptions opts;
-    opts.eps = 0.4;
-    const MultiSourceResult ms =
-        detail::build_epsilon_ftmbfs_impl(g, {0, 9}, opts);
+    const api::BuildResult ms = api::build(g, {.sources = {0, 9}, .eps = 0.4});
     std::stringstream ss;
     io::write_structure(ms.structure, ms.sources, ss);
     EXPECT_EQ(ss.str().rfind("ftbfs-structure 3\n", 0), 0u);

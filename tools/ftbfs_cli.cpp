@@ -247,12 +247,8 @@ api::BuildSpec spec_from_options(const Options& opt) {
                   "pipelines have no reinforcement tradeoff)");
   }
   spec.weight_seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
-  if (opt.has("site-dist")) {
-    FTB_CHECK_MSG(spec.fault_model == FaultClass::kDual,
-                  "--site-dist applies only to --fault-model=dual (the "
-                  "site-local oracle accelerates pair queries)");
-    spec.site_dist_oracle = true;
-  }
+  // BuildSpec::validate refuses it on every model but dual.
+  spec.site_dist_oracle = opt.has("site-dist");
   return spec;
 }
 
@@ -375,10 +371,6 @@ int cmd_verify(const Options& opt) {
   // non-tree sweep — refuse the flag rather than silently ignore it.
   FTB_CHECK_MSG(!(multi && opt.has("nontree")),
                 "--nontree applies only to single-source artifacts");
-  const auto as_multi_source = [&] {
-    return MultiSourceResult{sources, h, {}};
-  };
-
   bool ok = true;
   JsonObject report;
   report.set("command", std::string("verify"))
@@ -428,7 +420,7 @@ int cmd_verify(const Options& opt) {
     std::int64_t failures_checked = -1;
     std::int64_t violations = 0;
     if (multi) {
-      violations = verify_multi_source(g, as_multi_source());
+      violations = verify_multi_source(h, sources);
     } else {
       VerifyOptions vo;
       vo.check_nontree_failures = opt.has("nontree");
@@ -454,7 +446,7 @@ int cmd_verify(const Options& opt) {
   }
   if (model == FaultClass::kVertex || model == FaultClass::kEither) {
     const std::int64_t violations =
-        multi ? verify_vertex_multi_source(g, as_multi_source())
+        multi ? verify_vertex_multi_source(h, sources)
               : verify_vertex_structure(h);
     if (json) {
       JsonObject vertex;
