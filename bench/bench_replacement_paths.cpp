@@ -134,21 +134,32 @@ void BM_OracleQueries(benchmark::State& state) {
 BENCHMARK(BM_OracleQueries)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
+/// Lower-bound family of ε_G = 1/inv_eps: 1/3 is the deep family, 1/2 at
+/// n = 2048 is the shape of the eps_adversarial benchmark workload.
 void BM_InterferenceIndex(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
-  const auto lbg = lb::build_single_source(n, 1.0 / 3.0);
+  const auto lbg =
+      lb::build_single_source(n, 1.0 / static_cast<double>(state.range(1)));
   const EdgeWeights w = EdgeWeights::uniform_random(lbg.graph, 19);
   const BfsTree tree(lbg.graph, w, lbg.source);
   const ReplacementPathEngine engine(tree);
   const LcaIndex lca(tree);
+  std::int64_t entries = 0;
   for (auto _ : state) {
     InterferenceIndex ifx(engine, lca);
+    entries = ifx.stats().adjacency_entries;
     benchmark::DoNotOptimize(ifx.num_pairs());
   }
   state.counters["pairs"] =
       static_cast<double>(engine.stats().pairs_uncovered);
+  state.counters["entries"] = static_cast<double>(entries);
 }
-BENCHMARK(BM_InterferenceIndex)->Arg(512)->Arg(1024)->Arg(2048)
+BENCHMARK(BM_InterferenceIndex)
+    ->ArgNames({"n", "inv_eps"})
+    ->Args({512, 3})
+    ->Args({1024, 3})
+    ->Args({2048, 3})
+    ->Args({2048, 2})
     ->Unit(benchmark::kMillisecond);
 
 void BM_PathReconstruction(benchmark::State& state) {

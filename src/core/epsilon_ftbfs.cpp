@@ -175,6 +175,8 @@ EpsilonResult detail::build_epsilon_ftbfs_impl(const Graph& g, Vertex source,
   const LcaIndex lca(tree);
   const InterferenceIndex interference(engine, lca);
   st.seconds_interference = phase_timer.seconds();
+  st.interference_entries = interference.stats().adjacency_entries;
+  st.interference_truncated_buckets = interference.stats().truncated_buckets;
 
   const auto& pairs = engine.uncovered_pairs();
   const std::size_t np = pairs.size();

@@ -83,6 +83,10 @@ struct EpsilonStats {
   std::int64_t pairs_covered = 0;
   std::int64_t pairs_uncovered = 0;
   std::int64_t i1_size = 0, i2_size = 0;
+  std::int64_t interference_entries = 0;  // Σ |I≁(p)| over the index rows
+  // Detour buckets cut at InterferenceIndex::Config::max_bucket; non-zero
+  // means pairs may have moved between S1 and S2 (b(n) can change).
+  std::int64_t interference_truncated_buckets = 0;
 
   std::int64_t s1_added_edges = 0;     // distinct last edges added in S1
   std::int64_t s1_leftover_pairs = 0;  // pairs surviving K rounds (Lemma

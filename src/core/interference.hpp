@@ -16,10 +16,17 @@
 // ancestor-or-equal of t strictly deeper than LCA(v,t). Note the relation
 // is *not* symmetric. We precompute it per adjacency entry.
 //
-// Index construction: an inverted index from internal detour vertices to
+// Index construction, in time proportional to its output: an inverted
+// index (a CSR filled by counting sort) from internal detour vertices to
 // pair ids; two pairs interfere iff they co-occur in some bucket (internal
 // vertices exclude the detour endpoints, which is exactly the exclusion
-// set of Eq. (1)).
+// set of Eq. (1)). Each bucket is kept in two orders, by tin and by tout
+// of the failing edge's lower endpoint b, so the (≁)-partners of a pair q
+// in a bucket — the pairs whose subtree below b is disjoint from q's — are
+// one tin-order suffix plus one tout-order prefix, found by two binary
+// searches. No unrelated pair of a bucket is ever tested. Sweeping q in
+// ascending order writes every row ascending and duplicate-free, straight
+// into the CSR adjacency.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +42,12 @@ namespace ftb {
 class InterferenceIndex {
  public:
   struct Config {
-    /// Safety valve against quadratic bucket blowup: buckets larger than
-    /// this are truncated (counted in stats.truncated_buckets). Truncation
-    /// can only move pairs between phases — the final structure stays
-    /// correct because reinforcement is recomputed from scratch at the end.
+    /// Bound on the output size: a bucket keeps only its max_bucket
+    /// smallest pair ids (cut buckets are counted in
+    /// stats.truncated_buckets), so one vertex on many detours contributes
+    /// O(max_bucket²) adjacency entries. Truncation can only move
+    /// pairs between phases — the final structure stays correct because
+    /// reinforcement is recomputed from scratch at the end. Must be ≥ 0.
     std::int32_t max_bucket = 1 << 14;
   };
 

@@ -1,9 +1,11 @@
 // lca.hpp — least common ancestors on the BFS tree T0.
 //
-// The interference machinery evaluates LCA(v,t) for detour/π-intersection
-// tests (Sec. 3.1). Binary lifting gives O(n log n) preprocessing and
-// O(log n) queries, which is plenty at our scales; ancestor *tests* stay
-// O(1) through BfsTree's preorder intervals.
+// InterferenceIndex::pi_intersects() evaluates LCA(v,t) for the
+// π-intersection test of Sec. 3.1; it is the independent recomputation the
+// tests check the index's precomputed flags against. Index construction
+// itself evaluates no LCA: it uses the equivalent O(1) ancestor test
+// through BfsTree's preorder intervals. Binary lifting gives O(n log n)
+// preprocessing and O(log n) queries, which is plenty at our scales.
 #pragma once
 
 #include <vector>

@@ -227,6 +227,21 @@ TEST(ApiBuild, FacadeOutputIsPinnedInEveryCell) {
   EXPECT_EQ(cells, pinned.size());
 }
 
+TEST(ApiBuild, FacadeOutputIsPinnedAtScale) {
+  // The golden table above stops at n = 64, where every detour bucket of the
+  // interference index is tiny. These two edge-model cells run the ε
+  // pipeline on buckets of thousands of pairs: the paper's lower-bound graph
+  // and a hub-sourced R-MAT with two sources.
+  const lb::SingleSourceLb lbg = lb::build_single_source(512, 0.5);
+  EXPECT_EQ(pin_of(api::build(lbg.graph, {.sources = {lbg.source},
+                                          .eps = 0.1})),
+            "a0f30b56 2169/2");
+  const Graph rmat = gen::rmat_connected(10, 4 << 10, 1);
+  EXPECT_EQ(pin_of(api::build(rmat, {.sources = test::hub_sources(rmat, 2),
+                                     .eps = 0.25})),
+            "b51c153f 1775/0 1785/0");
+}
+
 // ---------------------------------------------------------------------------
 // Validation: one CheckError message shape everywhere.
 

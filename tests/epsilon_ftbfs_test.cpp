@@ -227,6 +227,19 @@ TEST(EpsilonFtBfs, TradeoffIsMonotoneOnTheDeepFamily) {
   EXPECT_GT(rs.front(), 0);
 }
 
+TEST(EpsilonFtBfs, InterferenceTelemetryReachesTheStats) {
+  // The deep adversarial family at ε = 0.1 runs S1 on a non-empty (≁)
+  // index whose buckets all fit under the default max_bucket: a truncated
+  // bucket would move pairs between S1 and S2 without any other trace.
+  const auto lbg = lb::build_single_source(512, 0.5);
+  EpsilonOptions opts;
+  opts.eps = 0.1;
+  const EpsilonStats st =
+      detail::build_epsilon_ftbfs_impl(lbg.graph, lbg.source, opts).stats;
+  EXPECT_GT(st.interference_entries, 0);
+  EXPECT_EQ(st.interference_truncated_buckets, 0);
+}
+
 TEST(EpsilonFtBfs, RejectsOutOfRangeEps) {
   const Graph g = gen::path_graph(4);
   EpsilonOptions opts;

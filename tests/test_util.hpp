@@ -6,6 +6,7 @@
 // heavy property tests (full FT verification) run on all of them.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,23 @@ inline std::vector<FamilyCase> tiny_families(std::uint64_t seed = 7) {
   out.push_back({"conn20", gen::random_connected(20, 25, seed + 2), 0});
   out.push_back({"intro12", gen::intro_example(12), 0});
   return out;
+}
+
+/// The k highest-degree vertices, ties broken by id: the hub sources of the
+/// at-scale R-MAT cases.
+inline std::vector<Vertex> hub_sources(const Graph& g, std::size_t k) {
+  std::vector<Vertex> vs(static_cast<std::size_t>(g.num_vertices()));
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    vs[static_cast<std::size_t>(v)] = v;
+  }
+  std::partial_sort(vs.begin(), vs.begin() + static_cast<std::ptrdiff_t>(k),
+                    vs.end(), [&](Vertex a, Vertex b) {
+                      return g.degree(a) != g.degree(b)
+                                 ? g.degree(a) > g.degree(b)
+                                 : a < b;
+                    });
+  vs.resize(k);
+  return vs;
 }
 
 }  // namespace ftb::test

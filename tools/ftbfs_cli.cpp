@@ -331,6 +331,10 @@ int cmd_build(const Options& opt) {
           .set("structure_edges", st.structure_edges)
           .set("backup_edges", st.backup)
           .set("reinforced_edges", st.reinforced)
+          .set("interference_entries", st.interference_entries)
+          .set("interference_truncated_buckets",
+               st.interference_truncated_buckets)
+          .set("seconds_interference", st.seconds_interference)
           .set("seconds", st.seconds_total);
       per_source.push(row);
     }
