@@ -1,9 +1,9 @@
 // bench_replacement_paths — Experiment E10 (engine micro-throughput; the
 // replacement-path machinery of refs [9]/[17] as realized here).
 //
-// Isolates the engine's sub-phases: per-tree-edge BFS (distance tables),
-// per-vertex off-path detour BFS, oracle queries, and the interference
-// index build.
+// Isolates the engine's sub-phases: per-tree-edge BFS (distance tables,
+// alone and inside the full engine), per-vertex off-path detour BFS, oracle
+// queries, and the interference index build.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hpp"
@@ -22,12 +22,10 @@ void BM_DistTablesOnly(benchmark::State& state) {
   const EdgeWeights w = EdgeWeights::uniform_random(g, 11);
   const BfsTree tree(g, w, 0);
   for (auto _ : state) {
-    // collect_detours=false still builds tables + pairs; the tables
-    // dominate. Report per-failure BFS throughput.
-    ReplacementPathEngine::Config cfg;
-    cfg.collect_detours = false;
-    ReplacementPathEngine engine(tree, cfg);
-    benchmark::DoNotOptimize(engine.stats().pairs_total);
+    // The distance plane alone (what a Session builds): no covered test,
+    // no off-path detour BFS. Report per-failure BFS throughput.
+    const ReplacementDistTable<EdgeFault> table(tree);
+    benchmark::DoNotOptimize(table.num_rows());
   }
   state.counters["failures/s"] = benchmark::Counter(
       static_cast<double>(tree.tree_edges().size()),
@@ -41,18 +39,54 @@ void BM_DistTablesReferenceKernel(benchmark::State& state) {
   const Graph g = bench::dense_random(n, 11);
   const EdgeWeights w = EdgeWeights::uniform_random(g, 11);
   const BfsTree tree(g, w, 0);
+  ReplacementDistTable<EdgeFault>::Config cfg;
+  cfg.reference_kernel = true;
   for (auto _ : state) {
-    ReplacementPathEngine::Config cfg;
-    cfg.collect_detours = false;
-    cfg.reference_kernel = true;
-    ReplacementPathEngine engine(tree, cfg);
-    benchmark::DoNotOptimize(engine.stats().pairs_total);
+    const ReplacementDistTable<EdgeFault> table(tree, cfg);
+    benchmark::DoNotOptimize(table.num_rows());
   }
   state.counters["failures/s"] = benchmark::Counter(
       static_cast<double>(tree.tree_edges().size()),
       benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_DistTablesReferenceKernel)->Arg(256)->Arg(512)->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+// The serving plane's build cost on the lower-bound graph (n, ε_G =
+// 1/inv_eps): the full engine without detours (tables + covered test +
+// off-path BFS per uncovered terminal) against the distance tables alone.
+void BM_LbFullEngine(benchmark::State& state) {
+  const auto lbg = lb::build_single_source(
+      static_cast<Vertex>(state.range(0)),
+      1.0 / static_cast<double>(state.range(1)));
+  const EdgeWeights w = EdgeWeights::uniform_random(lbg.graph, 17);
+  const BfsTree tree(lbg.graph, w, lbg.source);
+  ReplacementPathEngine::Config cfg;
+  cfg.collect_detours = false;
+  for (auto _ : state) {
+    const ReplacementPathEngine engine(tree, cfg);
+    benchmark::DoNotOptimize(engine.stats().pairs_uncovered);
+  }
+}
+BENCHMARK(BM_LbFullEngine)
+    ->ArgNames({"n", "inv_eps"})
+    ->Args({2048, 2})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_LbTablesOnly(benchmark::State& state) {
+  const auto lbg = lb::build_single_source(
+      static_cast<Vertex>(state.range(0)),
+      1.0 / static_cast<double>(state.range(1)));
+  const EdgeWeights w = EdgeWeights::uniform_random(lbg.graph, 17);
+  const BfsTree tree(lbg.graph, w, lbg.source);
+  for (auto _ : state) {
+    const ReplacementDistTable<EdgeFault> table(tree);
+    benchmark::DoNotOptimize(table.num_rows());
+  }
+}
+BENCHMARK(BM_LbTablesOnly)
+    ->ArgNames({"n", "inv_eps"})
+    ->Args({2048, 2})
     ->Unit(benchmark::kMillisecond);
 
 // Single-traversal micro throughput: the wrapper (materializing BfsResult),

@@ -37,38 +37,39 @@ struct DetourCandidate {
   }
 };
 
+/// Builds `cfg`'s table over `tree`, writing its wall time to `*seconds`.
+template <class Model>
+ReplacementDistTable<Model> timed_table(
+    const BfsTree& tree,
+    const typename ReplacementDistTable<Model>::Config& cfg, double* seconds) {
+  Timer t;
+  ReplacementDistTable<Model> table(tree, cfg);
+  *seconds = t.seconds();
+  return table;
+}
+
 }  // namespace
 
 template <class Model>
-FaultReplacementEngine<Model>::FaultReplacementEngine(const BfsTree& tree,
-                                                      Config cfg)
-    : tree_(&tree), cfg_(cfg) {
+ReplacementDistTable<Model>::ReplacementDistTable(const BfsTree& tree,
+                                                  const Config& cfg)
+    : tree_(&tree) {
   // Ambient-failure preconditions: at most one punctured element, and the
   // tree must actually be the canonical tree of that punctured graph —
   // otherwise every table row would answer for a different G'.
-  FTB_CHECK_MSG(cfg_.ambient_banned_edge == kInvalidEdge ||
-                    cfg_.ambient_banned_vertex == kInvalidVertex,
+  FTB_CHECK_MSG(cfg.ambient_banned_edge == kInvalidEdge ||
+                    cfg.ambient_banned_vertex == kInvalidVertex,
                 "at most one ambient failure per engine");
-  FTB_CHECK_MSG(cfg_.ambient_banned_vertex == kInvalidVertex ||
-                    !tree.reachable(cfg_.ambient_banned_vertex),
+  FTB_CHECK_MSG(cfg.ambient_banned_vertex == kInvalidVertex ||
+                    !tree.reachable(cfg.ambient_banned_vertex),
                 "ambient vertex is reachable — the tree is not the "
                 "punctured graph's canonical tree");
-  FTB_CHECK_MSG(cfg_.ambient_banned_edge == kInvalidEdge ||
-                    !tree.is_tree_edge(cfg_.ambient_banned_edge),
+  FTB_CHECK_MSG(cfg.ambient_banned_edge == kInvalidEdge ||
+                    !tree.is_tree_edge(cfg.ambient_banned_edge),
                 "ambient edge is a tree edge — the tree is not the "
                 "punctured graph's canonical tree");
-  ThreadPool& pool = cfg_.pool != nullptr ? *cfg_.pool : ThreadPool::global();
-  Timer t;
-  build_dist_tables(pool);
-  stats_.seconds_dist_tables = t.seconds();
-  t.restart();
-  build_pairs(pool);
-  stats_.seconds_detours = t.seconds();
-}
-
-template <class Model>
-void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
-  const Graph& g = graph();
+  ThreadPool& pool = cfg.pool != nullptr ? *cfg.pool : ThreadPool::global();
+  const Graph& g = tree.graph();
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
 
   // Terminal restriction:
@@ -84,7 +85,7 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
   std::vector<std::uint8_t> site_seen;
   std::vector<Vertex> row_vertices;  // restricted: exactly {v : row_needed}
   std::vector<Vertex> sweep_sites;   // restricted: exactly the needed sites
-  if (!cfg_.restrict_terminals.empty()) {
+  if (!cfg.restrict_terminals.empty()) {
     row_needed.assign(n, 0);
     site_seen.assign(n, 0);
     const auto need_row = [&](Vertex v) {
@@ -92,7 +93,7 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
       row_needed[static_cast<std::size_t>(v)] = 1;
       row_vertices.push_back(v);
     };
-    for (const Vertex v : cfg_.restrict_terminals) {
+    for (const Vertex v : cfg.restrict_terminals) {
       if (!tree_->reachable(v)) continue;
       need_row(v);
       const Vertex p = tree_->parent(v);
@@ -136,7 +137,6 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
   }
   for (std::size_t v = 0; v < n; ++v) row_offset_[v + 1] += row_offset_[v];
   rows_.assign(static_cast<std::size_t>(row_offset_[n]), kInfHops);
-  stats_.pairs_total = static_cast<std::int64_t>(rows_.size());
 
   // One replacement-distance computation per fault site; fill the row slot
   // of every vertex below the fault. Sites are the non-source preorder
@@ -145,9 +145,9 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
   // Rows of different faults write disjoint slots, so the loop is safely
   // parallel. The per-thread scratch arenas make a steady-state iteration
   // allocation-free.
-  const std::span<const Vertex> sites = cfg_.restrict_terminals.empty()
-                                            ? tree_->preorder()
-                                            : std::span<const Vertex>(sweep_sites);
+  const std::span<const Vertex> sites =
+      cfg.restrict_terminals.empty() ? tree_->preorder()
+                                     : std::span<const Vertex>(sweep_sites);
   pool.parallel_for(sites.size(), [&](std::size_t idx) {
     const Vertex u = sites[idx];
     if (u == tree_->source()) return;
@@ -164,12 +164,12 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
       return row_needed.empty() ||
              row_needed[static_cast<std::size_t>(v)] != 0;
     };
-    if (cfg_.reference_kernel) {
+    if (cfg.reference_kernel) {
       thread_local std::vector<std::uint8_t> mask;
       BfsBans bans;
       Model::ban(fault, bans, mask, n);
-      bans.banned_edge2 = cfg_.ambient_banned_edge;
-      bans.banned_vertex_one = cfg_.ambient_banned_vertex;
+      bans.banned_edge2 = cfg.ambient_banned_edge;
+      bans.banned_vertex_one = cfg.ambient_banned_vertex;
       const BfsResult res = plain_bfs_reference(g, tree_->source(), bans);
       for (const Vertex v : affected) {
         if (Model::kSkipFailedSite && v == u) continue;
@@ -177,12 +177,12 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
         row_slot(v) = res.dist[static_cast<std::size_t>(v)];
       }
       Model::unban(fault, mask);
-    } else if (cfg_.incremental_dist) {
+    } else if (cfg.incremental_dist) {
       thread_local ReplacementSweepScratch sweep;
       replacement_dist_sweep(*tree_, Model::sweep_banned_edge(fault),
                              Model::sweep_banned_vertex(fault), affected,
-                             sweep, cfg_.ambient_banned_edge,
-                             cfg_.ambient_banned_vertex);
+                             sweep, cfg.ambient_banned_edge,
+                             cfg.ambient_banned_vertex);
       for (const Vertex v : affected) {
         if (Model::kSkipFailedSite && v == u) continue;
         if (!has_row(v)) continue;
@@ -193,8 +193,8 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
       thread_local BfsScratch scratch;
       BfsBans bans;
       Model::ban(fault, bans, mask, n);
-      bans.banned_edge2 = cfg_.ambient_banned_edge;
-      bans.banned_vertex_one = cfg_.ambient_banned_vertex;
+      bans.banned_edge2 = cfg.ambient_banned_edge;
+      bans.banned_vertex_one = cfg.ambient_banned_vertex;
       bfs_run(g, tree_->source(), bans, scratch);
       for (const Vertex v : affected) {
         if (Model::kSkipFailedSite && v == u) continue;
@@ -207,7 +207,7 @@ void FaultReplacementEngine<Model>::build_dist_tables(ThreadPool& pool) {
 }
 
 template <class Model>
-std::int32_t FaultReplacementEngine<Model>::replacement_dist(
+std::int32_t ReplacementDistTable<Model>::replacement_dist(
     Vertex v, FaultId fault) const {
   Model::validate_query(*tree_, fault);
   if (!tree_->reachable(v)) return kInfHops;
@@ -215,7 +215,19 @@ std::int32_t FaultReplacementEngine<Model>::replacement_dist(
   if (!Model::on_path(*tree_, fault, v)) {
     return tree_->depth(v);  // π(s,v) survives the failure
   }
-  return table_dist(v, Model::fault_pos(*tree_, fault));
+  return row(v, Model::fault_pos(*tree_, fault));
+}
+
+template <class Model>
+FaultReplacementEngine<Model>::FaultReplacementEngine(const BfsTree& tree,
+                                                      Config cfg)
+    : cfg_(cfg),
+      table_(timed_table<Model>(tree, cfg_, &stats_.seconds_dist_tables)) {
+  stats_.pairs_total = table_.num_rows();
+  ThreadPool& pool = cfg_.pool != nullptr ? *cfg_.pool : ThreadPool::global();
+  Timer t;
+  build_pairs(pool);
+  stats_.seconds_detours = t.seconds();
 }
 
 namespace {
@@ -234,7 +246,7 @@ struct VertexPairs {
 template <class Model>
 void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
   const Graph& g = graph();
-  const EdgeWeights& W = tree_->weights();
+  const EdgeWeights& W = tree().weights();
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
 
   // Restricted engines size every per-terminal structure by the
@@ -255,7 +267,7 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
                       std::vector<std::int32_t>& uncovered_pos) {
     uncovered_pos.clear();
     for (std::int32_t i = Model::kFirstPos; i < k; ++i) {
-      const std::int32_t rd = table_dist(v, i);
+      const std::int32_t rd = table_.row(v, i);
       if (rd >= kInfHops) {
         ++out.infinite;
         continue;
@@ -266,13 +278,13 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
       // — for edges that means the fault is not v's parent edge, for
       // vertices that it is not the parent itself.
       bool is_covered = false;
-      const Vertex parent = tree_->parent(v);
+      const Vertex parent = tree().parent(v);
       if (parent != kInvalidVertex && i + 1 < k) {
-        if (table_dist(parent, i) + 1 == rd) is_covered = true;
+        if (table_.row(parent, i) + 1 == rd) is_covered = true;
       }
       if (!is_covered) {
-        for (const Vertex c : tree_->children(v)) {
-          if (table_dist(c, i) + 1 == rd) {
+        for (const Vertex c : tree().children(v)) {
+          if (table_.row(c, i) + 1 == rd) {
             is_covered = true;
             break;
           }
@@ -301,7 +313,7 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
     // Candidates are only ever consumed at divergence depths ≤
     // max_diverge(deepest uncovered position).
     const std::int32_t jmax = uncovered_pos.back() - Model::kDivergeGap;
-    const EdgeId parent_e = tree_->parent_edge(v);
+    const EdgeId parent_e = tree().parent_edge(v);
     thread_local std::vector<DetourCandidate> det;
     det.assign(static_cast<std::size_t>(jmax) + 1, DetourCandidate{});
     for (std::int32_t j = 0; j <= jmax; ++j) {
@@ -341,7 +353,7 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
     // Positions ascending for the deterministic pair order (classification
     // already filtered the covered / disconnecting ones).
     for (const std::int32_t i : uncovered_pos) {
-      const std::int32_t rd = table_dist(v, i);
+      const std::int32_t rd = table_.row(v, i);
 
       // New-ending pair: divergence point as close to s as possible.
       std::int32_t jstar = -1;
@@ -360,7 +372,7 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
 
       Pair p;
       p.v = v;
-      Model::set_fault(p, Model::fault_at(*tree_, path, i), i);
+      Model::set_fault(p, Model::fault_at(tree(), path, i), i);
       p.rep_dist = rd;
       p.diverge = path[static_cast<std::size_t>(jstar)];
       p.diverge_depth = jstar;
@@ -393,7 +405,7 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
   // the flatten below re-establishes ascending vertex id.
   pool.parallel_for(terminal_count, [&](std::size_t ti) {
     const Vertex v = restrict_mode ? restricted[ti] : static_cast<Vertex>(ti);
-    const std::int32_t k = tree_->depth(v);
+    const std::int32_t k = tree().depth(v);
     // No failing positions: source/too-shallow or unreachable terminals.
     if (k <= Model::kFirstPos || k >= kInfHops) return;
     VertexPairs<Pair>& out = per_vertex[ti];
@@ -401,7 +413,7 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
     // π(s,v) = u_0..u_k into a reusable buffer.
     thread_local std::vector<Vertex> path;
     path.clear();
-    for (Vertex u = v; u != kInvalidVertex; u = tree_->parent(u)) {
+    for (Vertex u = v; u != kInvalidVertex; u = tree().parent(u)) {
       path.push_back(u);
     }
     std::reverse(path.begin(), path.end());
@@ -437,7 +449,7 @@ void FaultReplacementEngine<Model>::build_pairs(ThreadPool& pool) {
       // there (see canonical_sp_run).
       std::int32_t max_rd = 0;
       for (const std::int32_t i : uncovered_pos) {
-        max_rd = std::max(max_rd, table_dist(v, i));
+        max_rd = std::max(max_rd, table_.row(v, i));
       }
       thread_local CanonicalSpScratch sps;
       canonical_sp_run(g, W, v, bans, sps, max_rd - 1);
@@ -513,18 +525,18 @@ std::span<const Vertex> FaultReplacementEngine<Model>::detour(
 
 template <class Model>
 bool FaultReplacementEngine<Model>::covered(Vertex v, FaultId fault) const {
-  FTB_CHECK(tree_->reachable(v) && !Model::hits_terminal(v, fault) &&
-            Model::on_path(*tree_, fault, v));
-  const std::int32_t pos = Model::fault_pos(*tree_, fault);
-  const std::int32_t rd = table_dist(v, pos);
+  FTB_CHECK(tree().reachable(v) && !Model::hits_terminal(v, fault) &&
+            Model::on_path(tree(), fault, v));
+  const std::int32_t pos = Model::fault_pos(tree(), fault);
+  const std::int32_t rd = table_.row(v, pos);
   FTB_CHECK_MSG(rd < kInfHops, "covered() on a disconnecting failure");
-  const std::int32_t k = tree_->depth(v);
-  const Vertex parent = tree_->parent(v);
+  const std::int32_t k = tree().depth(v);
+  const Vertex parent = tree().parent(v);
   if (parent != kInvalidVertex && pos + 1 < k) {
-    if (table_dist(parent, pos) + 1 == rd) return true;
+    if (table_.row(parent, pos) + 1 == rd) return true;
   }
-  for (const Vertex c : tree_->children(v)) {
-    if (table_dist(c, pos) + 1 == rd) return true;
+  for (const Vertex c : tree().children(v)) {
+    if (table_.row(c, pos) + 1 == rd) return true;
   }
   return false;
 }
@@ -532,10 +544,10 @@ bool FaultReplacementEngine<Model>::covered(Vertex v, FaultId fault) const {
 template <class Model>
 std::vector<Vertex> FaultReplacementEngine<Model>::replacement_path(
     Vertex v, FaultId fault) const {
-  Model::validate_query(*tree_, fault);
-  FTB_CHECK(tree_->reachable(v) && !Model::hits_terminal(v, fault));
-  if (!Model::on_path(*tree_, fault, v)) {
-    return tree_->path_from_source(v);  // π(s,v) is itself a replacement path
+  Model::validate_query(tree(), fault);
+  FTB_CHECK(tree().reachable(v) && !Model::hits_terminal(v, fault));
+  if (!Model::on_path(tree(), fault, v)) {
+    return tree().path_from_source(v);  // π(s,v) is itself a replacement path
   }
   const std::int32_t rd = replacement_dist(v, fault);
   FTB_CHECK_MSG(rd < kInfHops, "no replacement path: failure disconnects v");
@@ -544,7 +556,7 @@ std::vector<Vertex> FaultReplacementEngine<Model>::replacement_path(
   for (const std::int32_t id : uncovered_of(v)) {
     const Pair& p = pairs_[static_cast<std::size_t>(id)];
     if (Model::fault_of(p) != fault) continue;
-    std::vector<Vertex> out = tree_->path_from_source(p.diverge);
+    std::vector<Vertex> out = tree().path_from_source(p.diverge);
     const auto det = detour(p);
     out.insert(out.end(), det.begin() + 1, det.end());
     return out;
@@ -557,8 +569,8 @@ std::vector<Vertex> FaultReplacementEngine<Model>::replacement_path(
                                       0);
   for (const Arc& a : g.neighbors(v)) {
     const bool tree_incident =
-        a.edge == tree_->parent_edge(v) ||
-        (tree_->is_tree_edge(a.edge) && tree_->lower_endpoint(a.edge) == a.to);
+        a.edge == tree().parent_edge(v) ||
+        (tree().is_tree_edge(a.edge) && tree().lower_endpoint(a.edge) == a.to);
     if (!tree_incident) edge_mask[static_cast<std::size_t>(a.edge)] = 1;
   }
   BfsBans bans;
@@ -569,12 +581,14 @@ std::vector<Vertex> FaultReplacementEngine<Model>::replacement_path(
   bans.banned_edge2 = cfg_.ambient_banned_edge;
   bans.banned_vertex_one = cfg_.ambient_banned_vertex;
   const CanonicalSp sp =
-      canonical_sp(g, tree_->weights(), tree_->source(), bans);
+      canonical_sp(g, tree().weights(), tree().source(), bans);
   FTB_CHECK_MSG(sp.reachable(v) && sp.hops[static_cast<std::size_t>(v)] == rd,
                 "covered pair reconstruction does not match the G'(v) test");
   return sp.path_from_source(v);
 }
 
+template class ReplacementDistTable<EdgeFault>;
+template class ReplacementDistTable<VertexFault>;
 template class FaultReplacementEngine<EdgeFault>;
 template class FaultReplacementEngine<VertexFault>;
 

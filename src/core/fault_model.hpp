@@ -25,7 +25,9 @@
 //
 // FaultReplacementEngine<Model> (declared below, defined once in
 // fault_model.cpp) is the single S0 engine; replacement.hpp and
-// vertex_ftbfs.hpp alias it for the two models. A future fault model —
+// vertex_ftbfs.hpp alias it for the two models. Its distance plane is a
+// ReplacementDistTable<Model> of its own, which is all the serving plane
+// (api::Session, DualFaultOracle) holds. A future fault model —
 // e.g. the dual-failure setting of the PAPERS.md follow-ups — is a new
 // policy struct, not a fork. docs/architecture.md walks through the
 // layering.
@@ -217,15 +219,103 @@ struct VertexFault {
   static Vertex sweep_banned_vertex(FaultId f) { return f; }
 };
 
+/// The S0 distance plane alone: dist(s, v, G \ {fault}) for every vertex
+/// v and every fault, with one replacement-distance computation per fault
+/// site and rows stored only for the vertices below the fault (pairs with
+/// the fault on π(s,v)). This is everything a served single-fault answer
+/// reads; the covered/uncovered classification and the detours are inputs
+/// to construction only and live in FaultReplacementEngine, which composes
+/// one table. Immutable after construction.
+template <class Model>
+class ReplacementDistTable {
+ public:
+  using FaultId = typename Model::FaultId;
+
+  struct Config {
+    /// Worker pool; nullptr = ThreadPool::global().
+    ThreadPool* pool = nullptr;
+    /// Run the naive reference kernels (one full queue BFS per fault,
+    /// materializing two-pass canonical SP per vertex) instead of the
+    /// scratch-arena kernels. Differential-testing / bench baseline; the
+    /// produced tables and pairs are bit-identical either way.
+    bool reference_kernel = false;
+    /// Distance tables via the subtree-seeded replacement sweep
+    /// (dist_sweep.hpp) instead of one full kernel BFS per fault site.
+    /// Ignored under reference_kernel.
+    bool incremental_dist = true;
+    /// Ambient first failure: the table then answers for the PUNCTURED
+    /// graph G \ {ambient} — every row (and, in the engine, every covered
+    /// test and canonical detour) excludes the ambient element on top of
+    /// the model's own fault. At most one of the two may be set, and the
+    /// `tree` handed to the constructor must be the canonical tree of the
+    /// same punctured graph (BfsTree's bans overload). This is how the
+    /// dual-failure pipeline (dual_fault.hpp) reuses the single-fault
+    /// engine once per first failure. Defaults reproduce the single-fault
+    /// engine bit-identically.
+    EdgeId ambient_banned_edge = kInvalidEdge;
+    Vertex ambient_banned_vertex = kInvalidVertex;
+    /// Restrict the pair plane to these terminals (empty = every vertex,
+    /// the full engine). The set must be closed under `tree`'s children
+    /// relation — a subtree slice qualifies, and so does a T0-subtree
+    /// handed to the rebased punctured tree (re-parented vertices stay
+    /// below the fault) — since the covered test reads the tree-neighbor
+    /// rows of every terminal. With a restriction the table allocates rows
+    /// only for the terminals and their parents and runs sweeps only for
+    /// fault sites with a restricted terminal in their subtree (their
+    /// ancestors-or-selves), and the engine enumerates/classifies pairs
+    /// only for the listed terminals, so a build costs the restricted
+    /// set's tree volume (ancestor sweeps included) instead of the whole
+    /// graph. uncovered_pairs() then holds exactly the full engine's pairs
+    /// whose terminal is listed, and replacement_dist() is valid only for
+    /// listed terminals. This is the incremental-rebase entry point of the
+    /// dual-failure pipeline: per first-failure site it hands the engine
+    /// the rebased punctured tree (rebase_punctured_tree) plus the affected
+    /// subtree as the terminal set. The span is read during construction
+    /// only.
+    std::span<const Vertex> restrict_terminals = {};
+  };
+
+  explicit ReplacementDistTable(const BfsTree& tree)
+      : ReplacementDistTable(tree, Config()) {}
+  ReplacementDistTable(const BfsTree& tree, const Config& cfg);
+
+  const BfsTree& tree() const { return *tree_; }
+
+  /// dist(s, v | fault) for any vertex v and any fault. O(1):
+  ///  * fault not on π(s,v)  → dist(s,v,G) (π survives);
+  ///  * fault ∈ π(s,v)       → stored table row;
+  ///  * disconnected / fault destroys v itself → kInfHops.
+  /// Vertex model only: the source never fails (CheckError).
+  std::int32_t replacement_dist(Vertex v, FaultId fault) const;
+
+  /// Stored row: the fault at path position `pos` of π(s,v), which must
+  /// lie in [Model::kFirstPos, depth(v)).
+  std::int32_t row(Vertex v, std::int32_t pos) const {
+    return rows_[static_cast<std::size_t>(
+        row_offset_[static_cast<std::size_t>(v)] + (pos - Model::kFirstPos))];
+  }
+
+  /// Stored rows: every ⟨v, fault⟩ with fault ∈ π(s,v) (of the listed
+  /// terminals and their parents, under a restriction).
+  std::int64_t num_rows() const {
+    return static_cast<std::int64_t>(rows_.size());
+  }
+
+ private:
+  const BfsTree* tree_;
+  // The fault at path position i of π(s,v) lives at
+  // rows_[row_offset_[v] + i − Model::kFirstPos].
+  std::vector<std::int64_t> row_offset_;  // per vertex
+  std::vector<std::int32_t> rows_;        // Σ_v (depth(v) − kFirstPos) rows
+};
+
 /// The single S0 engine, generic over the fault model. Construct once per
-/// (graph, source, weights); everything else reads from it.
+/// (graph, source, weights); every construction reads from it.
 ///
 /// Engine realization (see replacement.hpp's file comment and DESIGN.md for
 /// the equivalence proofs; everything below holds verbatim for both models
 /// with the policy hooks substituted):
-///   * one replacement-distance computation per fault site gives
-///     dist(s,·,G\{fault}); rows are stored only for vertices below the
-///     fault (pairs with the fault on π(s,v));
+///   * the distance plane is one ReplacementDistTable, built first;
 ///   * the covered test for ⟨v,fault⟩ reduces to: some T0-neighbor u of v,
 ///     not destroyed by the fault, with dist_f(u) + 1 = dist_f(v);
 ///   * one canonical BFS from v in the off-path graph
@@ -240,66 +330,26 @@ class FaultReplacementEngine {
   using FaultId = typename Model::FaultId;
   using Pair = typename Model::Pair;
 
-  struct Config {
+  /// The table's knobs (pool, kernels, ambient ban, terminal restriction)
+  /// drive both planes.
+  struct Config : ReplacementDistTable<Model>::Config {
     /// Record detour vertex lists (needed by the interference machinery of
     /// the ε algorithm and by replacement_path(); the ESA'13 baselines can
     /// skip them).
     bool collect_detours = true;
-    /// Worker pool; nullptr = ThreadPool::global().
-    ThreadPool* pool = nullptr;
-    /// Run the naive reference kernels (one full queue BFS per fault,
-    /// materializing two-pass canonical SP per vertex) instead of the
-    /// scratch-arena kernels. Differential-testing / bench baseline; the
-    /// produced tables and pairs are bit-identical either way.
-    bool reference_kernel = false;
-    /// Distance tables via the subtree-seeded replacement sweep
-    /// (dist_sweep.hpp) instead of one full kernel BFS per fault site.
-    /// Ignored under reference_kernel.
-    bool incremental_dist = true;
-    /// Ambient first failure: the engine then computes over the PUNCTURED
-    /// graph G \ {ambient} — every table row, covered test and canonical
-    /// detour excludes the ambient element on top of the model's own fault.
-    /// At most one of the two may be set, and the `tree` handed to the
-    /// constructor must be the canonical tree of the same punctured graph
-    /// (BfsTree's bans overload). This is how the dual-failure pipeline
-    /// (dual_fault.hpp) reuses the single-fault engine once per first
-    /// failure. Defaults reproduce the single-fault engine bit-identically.
-    EdgeId ambient_banned_edge = kInvalidEdge;
-    Vertex ambient_banned_vertex = kInvalidVertex;
-    /// Restrict the pair plane to these terminals (empty = every vertex,
-    /// the full engine). The set must be closed under `tree`'s children
-    /// relation — a subtree slice qualifies, and so does a T0-subtree
-    /// handed to the rebased punctured tree (re-parented vertices stay
-    /// below the fault) — since the covered test reads the tree-neighbor
-    /// rows of every terminal. With a
-    /// restriction the engine allocates table rows only for the terminals
-    /// and their parents, runs sweeps only for fault sites with a
-    /// restricted terminal in their subtree (their ancestors-or-selves)
-    /// and enumerates/classifies pairs only for the listed terminals, so a
-    /// build costs the restricted set's tree volume (ancestor sweeps
-    /// included) instead of the whole graph. uncovered_pairs() then holds
-    /// exactly the full engine's pairs whose terminal is listed, and
-    /// replacement_dist() is valid only for listed terminals. This is the
-    /// incremental-rebase entry point of the dual-failure pipeline: per
-    /// first-failure site it hands the engine the rebased punctured tree
-    /// (rebase_punctured_tree) plus the affected subtree as the terminal
-    /// set. The span is read during construction only.
-    std::span<const Vertex> restrict_terminals = {};
   };
 
   explicit FaultReplacementEngine(const BfsTree& tree)
       : FaultReplacementEngine(tree, Config()) {}
   FaultReplacementEngine(const BfsTree& tree, Config cfg);
 
-  const BfsTree& tree() const { return *tree_; }
-  const Graph& graph() const { return tree_->graph(); }
+  const BfsTree& tree() const { return table_.tree(); }
+  const Graph& graph() const { return tree().graph(); }
 
-  /// dist(s, v, G \ {fault}) for any vertex v and any fault. O(1):
-  ///  * fault not on π(s,v)  → dist(s,v,G) (π survives);
-  ///  * fault ∈ π(s,v)       → stored table row;
-  ///  * disconnected / fault destroys v itself → kInfHops.
-  /// Vertex model only: the source never fails (CheckError).
-  std::int32_t replacement_dist(Vertex v, FaultId fault) const;
+  /// dist(s, v, G \ {fault}); see ReplacementDistTable::replacement_dist.
+  std::int32_t replacement_dist(Vertex v, FaultId fault) const {
+    return table_.replacement_dist(v, fault);
+  }
 
   /// All uncovered pairs, grouped by terminal v and ordered by increasing
   /// fault position within each terminal.
@@ -336,31 +386,21 @@ class FaultReplacementEngine {
   const Stats& stats() const { return stats_; }
 
  private:
-  void build_dist_tables(ThreadPool& pool);
   void build_pairs(ThreadPool& pool);
 
-  /// Stored row index: the fault at path position i of π(s,v) lives at
-  /// rows_[row_offset_[v] + i − Model::kFirstPos].
-  std::int32_t table_dist(Vertex v, std::int32_t pos) const {
-    return rows_[static_cast<std::size_t>(
-        row_offset_[static_cast<std::size_t>(v)] + (pos - Model::kFirstPos))];
-  }
-
-  const BfsTree* tree_;
   Config cfg_;
-
-  std::vector<std::int64_t> row_offset_;  // per vertex
-  std::vector<std::int32_t> rows_;        // Σ_v (depth(v) − kFirstPos) rows
+  Stats stats_;  // before table_: its initializer records the table time
+  ReplacementDistTable<Model> table_;
 
   std::vector<Pair> pairs_;
   std::vector<std::int64_t> pairs_offset_;  // per vertex, into pair_ids_
   std::vector<std::int32_t> pair_ids_;      // pair indices grouped by v
   std::vector<Vertex> detour_arena_;
-
-  Stats stats_;
 };
 
-// The two instantiations live in fault_model.cpp.
+// The two instantiations of each live in fault_model.cpp.
+extern template class ReplacementDistTable<EdgeFault>;
+extern template class ReplacementDistTable<VertexFault>;
 extern template class FaultReplacementEngine<EdgeFault>;
 extern template class FaultReplacementEngine<VertexFault>;
 

@@ -48,21 +48,12 @@ void expect_identical(const api::BuildResult& a, const api::BuildResult& b,
   }
 }
 
-std::vector<test::FamilyCase> diff_families() {
-  std::vector<test::FamilyCase> out;
-  out.push_back({"grid6x7", gen::grid_graph(6, 7), 0});
-  out.push_back({"gnm50", gen::gnm(50, 200, 3), 0});
-  out.push_back({"conn64", gen::random_connected(64, 100, 4), 7});
-  out.push_back({"lollipop", gen::lollipop(12, 8), 0});
-  return out;
-}
-
 TEST(ApiBuild, FacadeMatchesByteIdenticalRefereesInEveryCell) {
   const std::pair<const char*, api::detail::Referees> referees[] = {
       {"reference_kernel", {.reference_kernel = true}},
       {"scalar_lanes", {.scalar_lanes = true}},
   };
-  for (const auto& fc : diff_families()) {
+  for (const auto& fc : test::diff_families()) {
     const Vertex n = fc.graph.num_vertices();
     for (const FaultClass model : {FaultClass::kEdge, FaultClass::kVertex,
                                    FaultClass::kEither, FaultClass::kDual}) {
@@ -195,7 +186,7 @@ TEST(ApiBuild, FacadeOutputIsPinnedInEveryCell) {
     }
     EXPECT_EQ(it->second, got) << cell;
   };
-  for (const auto& fc : diff_families()) {
+  for (const auto& fc : test::diff_families()) {
     const Vertex n = fc.graph.num_vertices();
     for (const FaultClass model : {FaultClass::kEdge, FaultClass::kVertex,
                                    FaultClass::kEither, FaultClass::kDual}) {
@@ -217,7 +208,7 @@ TEST(ApiBuild, FacadeOutputIsPinnedInEveryCell) {
       }
     }
   }
-  const test::FamilyCase fc = diff_families()[2];
+  const test::FamilyCase fc = test::diff_families()[2];
   const Vertex n = fc.graph.num_vertices();
   check(fc.name + " dual sigma=3 site_dist",
         {.fault_model = FaultClass::kDual,

@@ -26,6 +26,7 @@
 #include "src/graph/generators.hpp"
 #include "src/graph/lower_bound.hpp"
 #include "src/util/rng.hpp"
+#include "tests/test_util.hpp"
 
 namespace ftb {
 namespace {
@@ -178,6 +179,125 @@ TEST(ApiSession, VertexSessionMatchesVertexOracle) {
     EXPECT_EQ(resp.results[i].dist,
               oracle.query(batch[i].v, batch[i].fault))
         << "v=" << batch[i].v << " x=" << batch[i].fault;
+  }
+}
+
+/// One build served three ways — Session::deploy, and Session::load of its
+/// v5 and of its v6 artifact. Every query over all (v, tree-edge fault)
+/// and (v, vertex fault) cells of every source classifies alike in the
+/// three sessions, and every in-model answer equals a FULL engine's
+/// replacement_dist (pair plane and all), which the sessions' distance
+/// tables never build.
+void expect_sessions_match_full_engines(const Graph& g,
+                                        const api::BuildSpec& spec,
+                                        const std::string& tag) {
+  const api::Session deployed = api::Session::open(g, spec);
+  const std::string base = ::testing::TempDir() + "/api_session_" + tag;
+  deployed.save_v5(base + ".v5");
+  deployed.save_v6(base + ".v6");
+  const api::Session sessions[] = {deployed,
+                                   api::Session::load(g, base + ".v5"),
+                                   api::Session::load(g, base + ".v6")};
+  std::remove((base + ".v5").c_str());
+  std::remove((base + ".v6").c_str());
+
+  const bool covers_edge = spec.fault_model != FaultClass::kVertex;
+  const bool covers_vertex = spec.fault_model != FaultClass::kEdge;
+  const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
+  const Vertex n = g.num_vertices();
+  std::int64_t in_model = 0;
+  std::vector<Query> batch(static_cast<std::size_t>(n));
+  // Plain comparisons first, the gtest assertion only on a mismatch: the
+  // sweep is millions of cells and runs under the sanitizer jobs too.
+  const auto check = [&](const std::string& what, const auto& truth) {
+    const QueryResponse want = sessions[0].query(batch);
+    for (std::size_t k = 1; k < std::size(sessions); ++k) {
+      const QueryResponse got = sessions[k].query(batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const api::QueryResult& a = got.results[i];
+        const api::QueryResult& b = want.results[i];
+        if (a.outcome != b.outcome || a.dist != b.dist) {
+          ASSERT_EQ(a.outcome, b.outcome)
+              << what << " session=" << k << " v=" << i;
+          ASSERT_EQ(a.dist, b.dist) << what << " session=" << k << " v=" << i;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (want.results[i].outcome != QueryOutcome::kInModel) continue;
+      ++in_model;
+      const std::int32_t expect = truth(batch[i].v);
+      if (want.results[i].dist != expect) {
+        ASSERT_EQ(want.results[i].dist, expect) << what << " v=" << i;
+      }
+    }
+  };
+  for (std::size_t si = 0; si < spec.sources.size(); ++si) {
+    const BfsTree tree(g, w, spec.sources[si]);
+    for (Vertex v = 0; v < n; ++v) {
+      Query& q = batch[static_cast<std::size_t>(v)];
+      q.v = v;
+      q.source_index = static_cast<std::int32_t>(si);
+    }
+    if (covers_edge) {
+      const ReplacementPathEngine engine(tree);
+      // Another source's tree edge is off this source's tree: π(s,v)
+      // survives it, so its cells are the failure-free depths.
+      for (const EdgeId e : tree.tree_edges()) {
+        for (Query& q : batch) {
+          q.kind = FaultClass::kEdge;
+          q.fault = e;
+        }
+        check(tag + " si=" + std::to_string(si) + " e=" + std::to_string(e),
+              [&](Vertex v) { return engine.replacement_dist(v, e); });
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    if (covers_vertex) {
+      const VertexReplacementEngine engine(tree);
+      for (Vertex x = 0; x < n; ++x) {
+        for (Query& q : batch) {
+          q.kind = FaultClass::kVertex;
+          q.fault = x;
+        }
+        // The querying source never fails: the sessions refuse it, so
+        // the engine is never asked.
+        check(tag + " si=" + std::to_string(si) + " x=" + std::to_string(x),
+              [&](Vertex v) { return engine.replacement_dist(v, x); });
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(in_model, 0) << tag;
+}
+
+TEST(ApiSession, LoadedSessionsServeFullEngineDistances) {
+  // The eps_adversarial shape at n = 512: the lower-bound graph with
+  // ε_G = 1/2, built at ε = 0.1.
+  const auto lbg = lb::build_single_source(512, 0.5);
+  // A hub-sourced R-MAT graph, σ = 2.
+  const Graph rmat = gen::rmat_connected(10, 4 << 10, 3);
+  struct Case {
+    std::string name;
+    const Graph* g;
+    std::vector<Vertex> sources;
+    double eps;
+  };
+  const Case cases[] = {
+      {"lb512", &lbg.graph, {lbg.source}, 0.1},
+      {"rmat10", &rmat, test::hub_sources(rmat, 2), 0.25},
+  };
+  for (const Case& c : cases) {
+    for (const FaultClass model :
+         {FaultClass::kEdge, FaultClass::kVertex, FaultClass::kEither}) {
+      api::BuildSpec spec;
+      spec.fault_model = model;
+      spec.sources = c.sources;
+      spec.eps = c.eps;
+      expect_sessions_match_full_engines(
+          *c.g, spec, c.name + "_" + to_string(model));
+      if (HasFatalFailure()) return;
+    }
   }
 }
 

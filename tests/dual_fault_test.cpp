@@ -225,13 +225,9 @@ TEST(DualFault, OracleFastPathsAreExactAndTraversalFree) {
 
   const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
   const BfsTree tree(g, w, 0);
-  ReplacementPathEngine::Config cfg;
-  cfg.collect_detours = false;
-  const ReplacementPathEngine ee(tree, cfg);
-  VertexReplacementEngine::Config vcfg;
-  vcfg.collect_detours = false;
-  const VertexReplacementEngine ve(tree, vcfg);
-  const DualFaultOracle oracle(tree, ee, ve, res.dual_tables.front());
+  const ReplacementDistTable<EdgeFault> ed(tree);
+  const ReplacementDistTable<VertexFault> vd(tree);
+  const DualFaultOracle oracle(tree, ed, vd, res.dual_tables.front());
   DualQueryArena arena;
 
   // (a) a doubled element degenerates to the single-fault tables;
@@ -312,13 +308,9 @@ TEST(DualFault, OracleArenaCountsHitsMissesAndEvictions) {
 
   const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
   const BfsTree tree(g, w, pc.source);
-  ReplacementPathEngine::Config ecfg;
-  ecfg.collect_detours = false;
-  const ReplacementPathEngine ee(tree, ecfg);
-  VertexReplacementEngine::Config vcfg;
-  vcfg.collect_detours = false;
-  const VertexReplacementEngine ve(tree, vcfg);
-  const DualFaultOracle oracle(tree, ee, ve, res.dual_tables.front());
+  const ReplacementDistTable<EdgeFault> ed(tree);
+  const ReplacementDistTable<VertexFault> vd(tree);
+  const DualFaultOracle oracle(tree, ed, vd, res.dual_tables.front());
   DualQueryArena arena;
 
   // Two distinct non-reducible pairs: adjacent tree edges always share a

@@ -12,6 +12,8 @@
 //     restrict_terminals engine emits exactly the full engine's pairs for
 //     the restricted terminals — the two legs the pruned dual pipeline
 //     stands on;
+//   * a standalone ReplacementDistTable answers every (v, fault) exactly
+//     like the full engine and brute-force BFS, under every table knob;
 //   * vertex-fault StructureOracle queries agree with literal BFS on
 //     G \ {x} exhaustively at small n.
 // Failing property cases print their one-command reproduction via
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/dist_sweep.hpp"
@@ -227,6 +230,118 @@ INSTANTIATE_TEST_SUITE_P(
     Families, FaultModelFamilyTest,
     ::testing::Range<std::size_t>(0, sweep_cases().size()),
     [](const auto& pinfo) { return sweep_cases()[pinfo.param].name(); });
+
+// ---- the distance plane on its own ---------------------------------------
+
+/// One configuration the standalone distance table is differenced under.
+struct TableCell {
+  const char* name = "default";
+  bool reference_kernel = false;
+  bool ambient_edge = false;      // puncture the deepest vertex's parent edge
+  bool ambient_vertex = false;    // puncture the deepest vertex's parent
+  bool restrict_subtree = false;  // the source's first child's subtree only
+};
+
+/// Every (v, fault) answer of a standalone ReplacementDistTable equals the
+/// full engine's under the same config and a brute-force BFS on G minus
+/// the fault and the ambient element. Terminals: every vertex, or the
+/// listed ones under a restriction. Adds the kInfHops answers of reachable
+/// terminals to `*inf` and the unreachable terminals to `*unreachable`.
+template <class Model>
+void expect_table_matches_engine(const Graph& g, const EdgeWeights& w,
+                                 Vertex source, const TableCell& cell,
+                                 std::int64_t* inf, std::int64_t* unreachable) {
+  const Vertex n = g.num_vertices();
+  BfsBans ambient;
+  if (cell.ambient_edge || cell.ambient_vertex) {
+    const BfsTree t0(g, w, source);
+    Vertex deepest = source;
+    for (Vertex v = 0; v < n; ++v) {
+      if (t0.reachable(v) && t0.depth(v) > t0.depth(deepest)) deepest = v;
+    }
+    if (cell.ambient_edge && deepest != source) {
+      ambient.banned_edge = t0.parent_edge(deepest);
+    }
+    if (cell.ambient_vertex && t0.depth(deepest) >= 2) {
+      ambient.banned_vertex_one = t0.parent(deepest);
+    }
+    ASSERT_TRUE(ambient.banned_edge != kInvalidEdge ||
+                ambient.banned_vertex_one != kInvalidVertex);
+  }
+  const BfsTree tree(g, w, source, ambient);
+
+  typename FaultReplacementEngine<Model>::Config cfg;
+  cfg.reference_kernel = cell.reference_kernel;
+  cfg.ambient_banned_edge = ambient.banned_edge;
+  cfg.ambient_banned_vertex = ambient.banned_vertex_one;
+  std::vector<Vertex> terminals;
+  if (cell.restrict_subtree) {
+    ASSERT_FALSE(tree.children(source).empty());
+    cfg.restrict_terminals = tree.subtree(tree.children(source).front());
+    terminals.assign(cfg.restrict_terminals.begin(),
+                     cfg.restrict_terminals.end());
+  } else {
+    for (Vertex v = 0; v < n; ++v) terminals.push_back(v);
+  }
+  const ReplacementDistTable<Model> table(tree, cfg);
+  const FaultReplacementEngine<Model> engine(tree, cfg);
+  EXPECT_EQ(table.num_rows(), engine.stats().pairs_total);
+
+  std::vector<typename Model::FaultId> faults;
+  if constexpr (std::is_same_v<Model, EdgeFault>) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) faults.push_back(e);
+  } else {
+    for (Vertex x = 0; x < n; ++x) {
+      if (x != source) faults.push_back(x);  // the source never fails
+    }
+  }
+  std::vector<std::uint8_t> mask;
+  for (const auto f : faults) {
+    BfsBans bans;
+    Model::ban(f, bans, mask, static_cast<std::size_t>(n));
+    bans.banned_edge2 = ambient.banned_edge;
+    bans.banned_vertex_one = ambient.banned_vertex_one;
+    const BfsResult truth = plain_bfs_reference(g, source, bans);
+    Model::unban(f, mask);
+    for (const Vertex v : terminals) {
+      const std::int32_t got = table.replacement_dist(v, f);
+      ASSERT_EQ(got, engine.replacement_dist(v, f)) << "v=" << v << " f=" << f;
+      ASSERT_EQ(got, truth.dist[static_cast<std::size_t>(v)])
+          << "v=" << v << " f=" << f;
+      if (!tree.reachable(v)) {
+        ++*unreachable;
+      } else if (got == kInfHops) {
+        ++*inf;
+      }
+    }
+  }
+}
+
+TEST(ReplacementDistTableTest, MatchesFullEngineAndBruteForce) {
+  const TableCell cells[] = {
+      {},
+      {.name = "reference_kernel", .reference_kernel = true},
+      {.name = "ambient_edge", .ambient_edge = true},
+      {.name = "ambient_vertex", .ambient_vertex = true},
+      {.name = "restrict_subtree", .restrict_subtree = true},
+  };
+  std::int64_t inf = 0;
+  std::int64_t unreachable = 0;
+  for (const auto& fc : test::diff_families()) {
+    const EdgeWeights w = EdgeWeights::uniform_random(fc.graph, 47);
+    for (const TableCell& cell : cells) {
+      SCOPED_TRACE(fc.name + "/" + cell.name);
+      expect_table_matches_engine<EdgeFault>(fc.graph, w, fc.source, cell,
+                                             &inf, &unreachable);
+      expect_table_matches_engine<VertexFault>(fc.graph, w, fc.source, cell,
+                                               &inf, &unreachable);
+    }
+  }
+  // The sweep really exercised disconnecting failures and vertices the
+  // ambient element cut off (the lollipop's tail supplies both).
+  EXPECT_GT(inf, 0);
+  EXPECT_GT(unreachable, 0);
+}
 
 // ---- vertex-fault serving stack ------------------------------------------
 

@@ -68,6 +68,18 @@ inline std::vector<FamilyCase> tiny_families(std::uint64_t seed = 7) {
   return out;
 }
 
+/// The differential set the facade and distance-table referees run on:
+/// small enough for exhaustive (v, fault) sweeps, and the lollipop's tail
+/// makes disconnecting failures.
+inline std::vector<FamilyCase> diff_families() {
+  std::vector<FamilyCase> out;
+  out.push_back({"grid6x7", gen::grid_graph(6, 7), 0});
+  out.push_back({"gnm50", gen::gnm(50, 200, 3), 0});
+  out.push_back({"conn64", gen::random_connected(64, 100, 4), 7});
+  out.push_back({"lollipop", gen::lollipop(12, 8), 0});
+  return out;
+}
+
 /// The k highest-degree vertices, ties broken by id: the hub sources of the
 /// at-scale R-MAT cases.
 inline std::vector<Vertex> hub_sources(const Graph& g, std::size_t k) {
