@@ -3,10 +3,13 @@
 //
 // Isolates the engine's sub-phases: per-tree-edge BFS (distance tables,
 // alone and inside the full engine), per-vertex off-path detour BFS, oracle
-// queries, and the interference index build.
+// queries, the interference index build, and the dual pair answer.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "bench/bench_util.hpp"
+#include "src/api/ftbfs_api.hpp"
 #include "src/core/interference.hpp"
 #include "src/core/oracle.hpp"
 #include "src/graph/bfs_kernel.hpp"
@@ -215,6 +218,90 @@ void BM_PathReconstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PathReconstruction)->Arg(512)->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+
+/// One non-reducible dual pair answer on the dual_rmat benchmark shape
+/// (R-MAT scale 12, m = 4·2^12, sourced at the highest-degree vertex).
+/// Legs: 0 = a pair of leaf parent edges and 1 = a pair of root-child
+/// parent edges, each answered by DualFaultOracle::dist with the arena's
+/// one-slot cache evicted every iteration (two pairs alternate), so every
+/// answer pays one subtree sweep; 2 = the same root-child pairs answered
+/// by the site-dist oracle's O(depth) walk (BuildSpec::site_dist_oracle).
+/// `region` is |A| = |sub(f1) ∪ sub(f2)|, `visits` the sweep visits per
+/// answer, `table_bytes` the site-dist table the walk reads.
+void BM_DualPairAnswer(benchmark::State& state) {
+  const int leg = static_cast<int>(state.range(0));
+  const Graph g = gen::rmat_connected(12, 4 << 12, 1);
+  Vertex hub = 0;
+  for (Vertex x = 1; x < g.num_vertices(); ++x) {
+    if (g.degree(x) > g.degree(hub)) hub = x;
+  }
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.sources = {hub};
+  spec.site_dist_oracle = leg == 2;
+  const api::BuildResult res = api::build(g, spec);
+  const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
+  const BfsTree tree(g, w, hub);
+  const ReplacementDistTable<EdgeFault> ed(tree);
+  const ReplacementDistTable<VertexFault> vd(tree);
+  DualFaultOracle oracle(tree, ed, vd, res.dual_tables.front());
+  if (leg == 2) oracle.attach_site_dist(&res.dual_site_dist.front());
+
+  // Two pairs of subtree tops, alternated so the one-slot cache misses.
+  std::vector<Vertex> tops;
+  if (leg == 0) {
+    for (const Vertex x : tree.preorder()) {
+      if (x != hub && tree.subtree_size(x) == 1) tops.push_back(x);
+    }
+  } else {
+    tops.assign(tree.children(hub).begin(), tree.children(hub).end());
+    std::sort(tops.begin(), tops.end(), [&](Vertex a, Vertex b) {
+      return tree.subtree_size(a) > tree.subtree_size(b);
+    });
+  }
+  if (tops.size() < 4) {
+    state.SkipWithError("fewer than four subtree tops");
+    return;
+  }
+  const auto site = [&](Vertex top) {
+    return DualSite{FaultClass::kEdge, tree.parent_edge(top)};
+  };
+  const DualSite pairs[2][2] = {{site(tops[0]), site(tops[1])},
+                                {site(tops[2]), site(tops[3])}};
+  // Deepest vertex of each pair's region: the longest site-dist walk.
+  Vertex probe[2];
+  for (int p = 0; p < 2; ++p) {
+    probe[p] = tops[2 * p];
+    for (const Vertex x : tree.subtree(tops[2 * p])) {
+      if (tree.depth(x) > tree.depth(probe[p])) probe[p] = x;
+    }
+  }
+  DualQueryArena arena;
+  std::int64_t x = 0;
+  int p = 0;
+  for (auto _ : state) {
+    x += oracle.dist(probe[p], pairs[p][0], pairs[p][1], arena);
+    p ^= 1;
+  }
+  benchmark::DoNotOptimize(x);
+  state.counters["region"] = static_cast<double>(
+      tree.subtree_size(tops[0]) + tree.subtree_size(tops[1]));
+  state.counters["visits"] = benchmark::Counter(
+      static_cast<double>(arena.sweep_visits()),
+      benchmark::Counter::kAvgIterations);
+  if (leg == 2) {  // what the walk costs in memory
+    const DualSiteDistTable& sd = res.dual_site_dist.front();
+    state.counters["table_bytes"] = static_cast<double>(
+        4 * (sd.rows.size() + sd.parent_edge.size() + sd.tf_depth.size()) +
+        8 * (sd.site_offsets.size() + sd.row_offsets.size()));
+  }
+}
+BENCHMARK(BM_DualPairAnswer)
+    ->ArgNames({"leg"})
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

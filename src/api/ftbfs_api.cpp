@@ -172,7 +172,7 @@ namespace {
 /// One worker's what-if workspace: a BFS arena plus the vertex-ban mask,
 /// with the key of the traversal the arena currently holds so a repeat of
 /// the same failure (across groups or batches) skips the BFS entirely.
-/// Dual-failure serving keeps its own site-restricted arena alongside
+/// Dual-failure serving keeps its own subtree-sweep arena alongside
 /// (grown lazily, so non-dual sessions never pay for it).
 struct WhatIfArena {
   BfsScratch bfs;
@@ -458,17 +458,11 @@ struct Session::Impl {
                                       used_oracle);
   }
 
-  /// In-model dual-failure answer. Precondition: classified kInModel with
-  /// fault2 >= 0.
+  /// In-model dual-failure answer without the site-local oracle (with it
+  /// attached, pair_fast always answers). Precondition: classified
+  /// kInModel with fault2 >= 0.
   std::int32_t dual_dist(const Query& q, WhatIfArena& arena,
-                         std::int64_t* traversals,
-                         std::int64_t* oracle_hits) const {
-    std::int32_t fast = 0;
-    bool used_oracle = false;
-    if (pair_fast(q, &fast, &used_oracle)) {
-      if (used_oracle && oracle_hits != nullptr) ++*oracle_hits;
-      return fast;
-    }
+                         std::int64_t* traversals) const {
     const auto si = static_cast<std::size_t>(q.source_index);
     return dual_oracles[si].dist(q.v, DualSite{q.kind, q.fault},
                                  DualSite{q.kind2, q.fault2}, arena.dual,
@@ -711,7 +705,7 @@ QueryResult Session::query_one(const Query& q) const {
         // Traversal-free pairs skip the arena lease entirely.
         if (!im.pair_fast(q, &r.dist, nullptr)) {
           ArenaLease arena(im.arenas);
-          r.dist = im.dual_dist(q, *arena, nullptr, nullptr);
+          r.dist = im.dual_dist(q, *arena, nullptr);
         }
       } else {
         r.dist = im.in_model_dist(q);
@@ -757,7 +751,7 @@ QueryResponse Session::query(QueryBatch batch,
       batch.size() <= static_cast<std::size_t>(threshold);
   // With the site-local oracle attached every in-model pair is O(1) and
   // joins the in-model plane; without it pairs group for (at most) one
-  // site-restricted traversal per distinct pair.
+  // subtree sweep per distinct pair.
   const bool oracle_pairs = im.has_site_dist();
 
   // Serial pass over a pooled scratch (zero per-batch allocation once the
@@ -843,9 +837,10 @@ QueryResponse Session::query(QueryBatch batch,
                             has_deadline ? opts.deadline_seconds : 0));
   std::atomic<std::int64_t> budget{has_budget ? opts.max_traversals : 0};
 
-  // One group's service: at most one traversal (literal for what-ifs,
-  // site-restricted for non-oracle pairs), answers fanned out to every
-  // member, counters accumulated locally and folded in once per worker.
+  // One group's service: at most one traversal (a literal BFS for
+  // what-ifs, a subtree sweep for non-oracle pairs), answers fanned out
+  // to every member, counters accumulated locally and folded in once per
+  // worker.
   const auto serve_group = [&](const QueryGroup& grp, WhatIfArena& arena,
                                PlaneCounters& pc) {
     const auto exhaust = [&] {
@@ -869,8 +864,7 @@ QueryResponse Session::query(QueryBatch batch,
       const std::int64_t m0 = arena.dual.cache_misses();
       std::int64_t ran = 0;
       for (const std::uint32_t idx : grp.members) {
-        resp.results[idx].dist =
-            im.dual_dist(batch[idx], arena, &ran, &pc.site_oracle_hits);
+        resp.results[idx].dist = im.dual_dist(batch[idx], arena, &ran);
       }
       pc.pair_cache_hits += arena.dual.cache_hits() - h0;
       pc.pair_cache_misses += arena.dual.cache_misses() - m0;

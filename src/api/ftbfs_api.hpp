@@ -191,9 +191,10 @@ struct Query {
   std::int32_t fault = -1;
   /// Optional SECOND simultaneous failure: `fault2 >= 0` makes this a
   /// dual-failure query for dist(s, v | {fault, fault2}), unordered. A
-  /// dual-model session answers pairs in-model (one traversal per distinct
-  /// pair per batch, site-restricted); other sessions treat a pair as a
-  /// what-if (literal BFS on H minus both) or refuse it.
+  /// dual-model session answers pairs in-model (at most one subtree sweep
+  /// over sub(fault) ∪ sub(fault2) per distinct pair per batch); other
+  /// sessions treat a pair as a what-if (literal BFS on H minus both) or
+  /// refuse it.
   FaultClass kind2 = FaultClass::kEdge;
   std::int32_t fault2 = -1;
   /// Which source asks (index into Session::sources()).
@@ -220,7 +221,7 @@ struct QueryResponse {
   /// Literal traversals actually run (≤ distinct what-if faults in the
   /// batch; arena caching can drop repeats across batches).
   std::int64_t what_if_traversals = 0;
-  /// Site-restricted traversals paid for in-model dual-failure queries
+  /// Subtree sweeps paid for in-model dual-failure queries
   /// (≤ distinct non-reducible pairs in the batch — reducible pairs are
   /// O(1) off the single-fault tables and cost none).
   std::int64_t pair_traversals = 0;
@@ -231,8 +232,8 @@ struct QueryResponse {
   /// Dual-pair arena cache hits this batch: traversal groups whose answer
   /// was still warm in a leased arena from an earlier group or batch.
   std::int64_t pair_cache_hits = 0;
-  /// Dual-pair arena cache misses this batch (each paid one
-  /// site-restricted traversal).
+  /// Dual-pair arena cache misses this batch (each paid one subtree
+  /// sweep).
   std::int64_t pair_cache_misses = 0;
   /// In-model pair queries answered straight from the site-local distance
   /// oracle (zero traversals; see BuildSpec::site_dist_oracle). A session
@@ -243,8 +244,8 @@ struct QueryResponse {
 
 /// Per-batch service limits, so a what-if storm degrades to partial
 /// results instead of holding the caller hostage. Both limits bound the
-/// TRAVERSAL plane only (literal what-if BFS runs and site-restricted
-/// pair traversals); O(1) in-model lookups are always served.
+/// TRAVERSAL plane only (literal what-if BFS runs and dual-pair subtree
+/// sweeps); O(1) in-model lookups are always served.
 struct BatchOptions {
   /// Max traversal groups this batch may pay for; < 0 = unlimited. With
   /// max_traversals == 0 the outcome is deterministic: every group that

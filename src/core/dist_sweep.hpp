@@ -86,8 +86,10 @@ class ReplacementSweepScratch {
 /// sweep over a punctured graph G \ {first failure} (the `tree` must then be
 /// the canonical tree of that punctured graph, so depth() seeding stays
 /// exact). Both default to "none", which is the single-fault sweep verbatim.
-/// `work`, when given, accumulates the sweep's vertex visits (marking,
-/// seeding and non-stale bucket pops).
+/// A failure PAIR (DualFaultOracle::dist) may pass `affected` as two
+/// disjoint subtree slices, the shallower top first: keys are based at
+/// depth(affected.front()). `work`, when given, accumulates the sweep's
+/// vertex visits (seeding and non-stale pops, at most 2·|affected|).
 void replacement_dist_sweep(const BfsTree& tree, EdgeId banned_edge,
                             Vertex banned_vertex,
                             std::span<const Vertex> affected,

@@ -404,6 +404,11 @@ DualBuildResult detail::build_dual_failure_ftbfs_impl(
 // ---------------------------------------------------------------------------
 // DualFaultOracle
 
+namespace {
+// Oracle serials start at 1: a DualQueryArena holding serial 0 holds nothing.
+std::atomic<std::uint64_t> next_oracle_serial{1};
+}  // namespace
+
 DualFaultOracle::DualFaultOracle(
     const BfsTree& tree, const ReplacementDistTable<EdgeFault>& edge_dist,
     const ReplacementDistTable<VertexFault>& vertex_dist,
@@ -411,7 +416,8 @@ DualFaultOracle::DualFaultOracle(
     : tree_(&tree),
       edge_dist_(&edge_dist),
       vertex_dist_(&vertex_dist),
-      tables_(&tables) {
+      tables_(&tables),
+      serial_(next_oracle_serial.fetch_add(1, std::memory_order_relaxed)) {
   FTB_CHECK_MSG(tables.offsets.size() == tables.sites.size() + 1 &&
                     !tables.offsets.empty() &&
                     tables.offsets.back() ==
@@ -465,8 +471,8 @@ bool DualFaultOracle::reducible(DualSite f1, DualSite f2) const {
          !tables_->subset_contains(static_cast<std::size_t>(ps), other.id);
 }
 
-Vertex DualFaultOracle::site_top(std::size_t site) const {
-  const DualSite f = tables_->sites[site];
+Vertex DualFaultOracle::site_top(DualSite f) const {
+  if (site_of(f) < 0) return kInvalidVertex;
   return f.kind == FaultClass::kEdge ? tree_->lower_endpoint(f.id) : f.id;
 }
 
@@ -488,7 +494,7 @@ void DualFaultOracle::attach_site_dist(const DualSiteDistTable* site_dist) {
           sd.row_offsets.back() == static_cast<std::int64_t>(sd.rows.size()),
       "malformed dual site-dist table (offsets do not cover the slots)");
   for (std::size_t i = 0; i < tables_->num_sites(); ++i) {
-    const Vertex top = site_top(i);
+    const Vertex top = site_top(tables_->sites[i]);
     const std::span<const Vertex> terms = tree_->subtree(top);
     FTB_CHECK_MSG(sd.site_offsets[i + 1] - sd.site_offsets[i] ==
                       static_cast<std::int64_t>(terms.size()),
@@ -576,7 +582,7 @@ bool DualFaultOracle::dist_fast(Vertex v, DualSite f1, DualSite f2,
   Vertex top = kInvalidVertex;
   for (const std::int32_t s : {s1, s2}) {
     if (s < 0) continue;
-    const Vertex t = site_top(static_cast<std::size_t>(s));
+    const Vertex t = site_top(tables_->sites[static_cast<std::size_t>(s)]);
     if (!tree_->is_ancestor_or_equal(t, v)) continue;
     if (ps < 0 || tree_->depth(t) > tree_->depth(top)) {
       ps = s;
@@ -638,56 +644,41 @@ std::int32_t DualFaultOracle::dist(Vertex v, DualSite f1, DualSite f2,
   std::int32_t fast = 0;
   if (dist_fast(v, f1, f2, &fast)) return fast;
   if (f2 < f1) std::swap(f1, f2);
-  const std::int32_t s1 = site_of(f1);
-  const std::int32_t s2 = site_of(f2);
 
-  // One BFS over (T0 ∪ C_{f1} ∪ C_{f2}) \ {f1, f2}, memoized in the arena
-  // (a one-slot cache: any other pair evicts the held traversal).
-  const Graph& g = tree_->graph();
-  const std::size_t m = static_cast<std::size_t>(g.num_edges());
-  if (arena.mask_table_ != tables_ || arena.mask_site_a_ != s1 ||
-      arena.mask_site_b_ != s2) {
-    if (arena.site_ban_.size() < m || arena.mask_table_ != tables_) {
-      // Fresh serving-set mask: admit T0's tree edges once; site subsets
-      // toggle below.
-      arena.site_ban_.assign(m, 1);
-      for (const EdgeId e : tree_->tree_edges()) {
-        arena.site_ban_[static_cast<std::size_t>(e)] = 0;
-      }
-    } else {
-      // Re-ban the previously admitted subsets instead of an O(m) reset —
-      // minus their T0-shared edges, which every serving set admits.
-      for (const std::int32_t old :
-           {arena.mask_site_a_, arena.mask_site_b_}) {
-        if (old < 0) continue;
-        for (const EdgeId e :
-             arena.mask_table_->subset(static_cast<std::size_t>(old))) {
-          if (!tree_->is_tree_edge(e)) {
-            arena.site_ban_[static_cast<std::size_t>(e)] = 1;
-          }
-        }
-      }
-    }
-    for (const std::int32_t site : {s1, s2}) {
-      if (site < 0) continue;
-      for (const EdgeId e :
-           tables_->subset(static_cast<std::size_t>(site))) {
-        arena.site_ban_[static_cast<std::size_t>(e)] = 0;
-      }
-    }
-    arena.mask_table_ = tables_;
-    arena.mask_site_a_ = s1;
-    arena.mask_site_b_ = s2;
-    arena.traversal_valid_ = false;
-  }
-  if (!arena.traversal_valid_ ||
+  // One subtree sweep over A = sub(f1) ∪ sub(f2) in G \ {f1, f2}, memoized
+  // in the arena (a one-slot cache: any other pair, or this pair asked of
+  // another oracle, evicts the held sweep).
+  if (arena.held_oracle_ != serial_ ||
       !(arena.held_f1_ == f1 && arena.held_f2_ == f2)) {
-    BfsBans bans;
-    bans.banned_edge_mask = &arena.site_ban_;
-    const PairBans pair(f1, f2, arena.vertex_ban_,
-                        static_cast<std::size_t>(g.num_vertices()), bans);
-    bfs_run(g, tree_->source(), bans, arena.bfs_);
-    arena.traversal_valid_ = true;
+    // A non-sited element (a non-tree edge, a leaf vertex) lies on no
+    // other vertex's T0 path, so it adds no subtree — only the ban.
+    Vertex a = site_top(f1);
+    Vertex b = site_top(f2);
+    if (a == kInvalidVertex ||
+        (b != kInvalidVertex && tree_->depth(b) < tree_->depth(a))) {
+      std::swap(a, b);
+    }
+    // Now depth(a) ≤ depth(b): nested subtrees sweep the outer one alone,
+    // disjoint ones sweep both slices, shallower top first.
+    if (b != kInvalidVertex && tree_->is_ancestor_or_equal(a, b)) {
+      b = kInvalidVertex;
+    }
+    std::span<const Vertex> region = tree_->subtree(a);
+    if (b != kInvalidVertex) {
+      const std::span<const Vertex> below = tree_->subtree(b);
+      arena.region_.assign(region.begin(), region.end());
+      arena.region_.insert(arena.region_.end(), below.begin(), below.end());
+      region = arena.region_;
+    }
+    const bool e1 = f1.kind == FaultClass::kEdge;
+    const bool e2 = f2.kind == FaultClass::kEdge;
+    replacement_dist_sweep(*tree_, e1 ? f1.id : kInvalidEdge,
+                           e1 ? kInvalidVertex : f1.id, region, arena.sweep_,
+                           e2 ? f2.id : kInvalidEdge,
+                           e2 ? kInvalidVertex : f2.id, &arena.work_);
+    arena.top_a_ = a;
+    arena.top_b_ = b;
+    arena.held_oracle_ = serial_;
     arena.held_f1_ = f1;
     arena.held_f2_ = f2;
     ++arena.misses_;
@@ -695,7 +686,14 @@ std::int32_t DualFaultOracle::dist(Vertex v, DualSite f1, DualSite f2,
   } else {
     ++arena.hits_;
   }
-  return arena.bfs_.dist(v);
+  // Outside A the T0 path avoids both failures, so depth(v) is exact.
+  if (!tree_->reachable(v)) return kInfHops;
+  for (const Vertex top : {arena.top_a_, arena.top_b_}) {
+    if (top != kInvalidVertex && tree_->is_ancestor_or_equal(top, v)) {
+      return arena.sweep_.dist(v);
+    }
+  }
+  return tree_->depth(v);
 }
 
 // ---------------------------------------------------------------------------

@@ -63,10 +63,11 @@
 //   * sited f, other a non-tree edge ∉ C_f     → O(1): (T0 ∪ C_f) \ {other}
 //     = T0 ∪ C_f realizes the single-fault distances of G\{f} without
 //     `other`, so dist(s,v,G\{f}) is already the two-failure answer;
-//   * otherwise                                → one BFS over
-//     (T0 ∪ C_{f1} ∪ C_{f2}) \ {f1, f2}, cached per pair in a
-//     DualQueryArena (the api::Session batched plane groups queries by
-//     distinct pair, so a storm pays one traversal per pair).
+//   * otherwise                                → one subtree sweep over
+//     A = sub(f1) ∪ sub(f2) in G \ {f1, f2}; every v ∉ A keeps π(s,v) and
+//     answers depth(v) (arXiv:1505.00692 §4). Cached per (oracle, pair) in
+//     a DualQueryArena (the api::Session batched plane groups queries by
+//     distinct pair, so a storm pays one sweep per pair).
 // The per-site edge subsets C_f are the *pair tables* serialized by
 // structure_io v4, so a reloaded Session serves pairs without re-running
 // the recursion. (v4 artifacts written by the unpruned referee carry the
@@ -237,35 +238,34 @@ DualSiteTable build_dual_site_table(const BfsTree& tree, ThreadPool* pool,
                                     SweepWorkStats* sweep_work = nullptr);
 }  // namespace detail
 
-/// Reusable scratch for DualFaultOracle::dist: the BFS arena plus the
-/// lazily maintained serving-set edge mask (T0 ∪ the admitted site
-/// subsets), with the key of the traversal currently held so repeats of
-/// one pair cost nothing — a one-slot cache, evicted whenever a different
-/// non-reducible pair arrives. Exclusive ownership while in use (the
-/// api::Session leases one per worker).
+/// Reusable scratch for DualFaultOracle::dist: the subtree-sweep arena,
+/// the affected region it last swept, and that sweep's key — (oracle,
+/// normalized pair) — so repeats of one pair cost nothing: a one-slot
+/// cache, evicted whenever a different non-reducible pair, or the same
+/// pair for another oracle (another source), arrives. Exclusive ownership
+/// while in use (the api::Session leases one per worker).
 class DualQueryArena {
  public:
-  DualQueryArena() = default;
-
-  /// Traversal-cache accounting across every dist() call this arena
-  /// served: a non-reducible pair answered from the held traversal is a
-  /// hit; one that had to (re)run the site-restricted BFS is a miss.
-  /// Reducible pairs are O(1) table reads and touch neither counter —
-  /// tests assert exactly that.
+  /// Sweep-cache accounting across every dist() call this arena served: a
+  /// non-reducible pair answered from the held sweep is a hit; one that
+  /// had to (re)run the subtree sweep is a miss. Reducible pairs are O(1)
+  /// table reads and touch neither counter — tests assert exactly that.
   std::int64_t cache_hits() const { return hits_; }
   std::int64_t cache_misses() const { return misses_; }
+  /// Cumulative subtree-sweep vertex visits (seeding plus settled pops)
+  /// over every miss: at most 2·|A| per sweep, independent of n.
+  std::int64_t sweep_visits() const { return work_.sweep_visits; }
 
  private:
   friend class DualFaultOracle;
 
-  BfsScratch bfs_;
-  std::vector<std::uint8_t> site_ban_;  // size m; 1 = not in serving set
-  std::vector<std::uint8_t> vertex_ban_;  // pair's vertex elements (RAII'd)
-  const DualSiteTable* mask_table_ = nullptr;  // whose sites the mask admits
-  std::int32_t mask_site_a_ = -1;  // admitted site subsets (-1 = none)
-  std::int32_t mask_site_b_ = -1;
-  bool traversal_valid_ = false;  // bfs_ holds exactly (held_f1_, held_f2_)
+  ReplacementSweepScratch sweep_;
+  std::vector<Vertex> region_;  // A as two preorder slices (disjoint tops)
+  Vertex top_a_ = kInvalidVertex;  // region tops of the held sweep; top_b_
+  Vertex top_b_ = kInvalidVertex;  // is kInvalidVertex when A is one slice
+  std::uint64_t held_oracle_ = 0;  // serial of the swept oracle (0 = none)
   DualSite held_f1_, held_f2_;
+  SweepWorkStats work_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
 };
@@ -288,8 +288,10 @@ class DualFaultOracle {
   /// dist(s, v, G \ {f1, f2}), order-free in (f1, f2). Preconditions:
   /// valid ids and neither element is the source vertex (the caller — the
   /// Session classification — refuses those). O(1) for reducible pairs;
-  /// otherwise one BFS over the primary site's subset, cached in `arena`
-  /// (`traversals`, when given, is incremented iff a BFS actually ran).
+  /// otherwise one subtree sweep over A = sub(f1) ∪ sub(f2) (a non-sited
+  /// element contributes no subtree) with every v ∉ A read back as its T0
+  /// depth, cached in `arena` (`traversals`, when given, is incremented iff
+  /// a sweep actually ran).
   std::int32_t dist(Vertex v, DualSite f1, DualSite f2, DualQueryArena& arena,
                     std::int64_t* traversals = nullptr) const;
 
@@ -322,14 +324,16 @@ class DualFaultOracle {
  private:
   std::int32_t site_of(DualSite f) const;
   std::int32_t single_dist(Vertex v, DualSite f) const;
-  /// The T0 root of site i's affected subtree A_{sites[i]}.
-  Vertex site_top(std::size_t site) const;
+  /// The T0 root of f's affected subtree A_f (kInvalidVertex if f is not
+  /// a first-failure site).
+  Vertex site_top(DualSite f) const;
 
   const BfsTree* tree_;
   const ReplacementDistTable<EdgeFault>* edge_dist_;
   const ReplacementDistTable<VertexFault>* vertex_dist_;
   const DualSiteTable* tables_;
   const DualSiteDistTable* site_dist_ = nullptr;  // optional accelerator
+  std::uint64_t serial_;  // process-unique; keys DualQueryArena's cache
   std::vector<std::int32_t> edge_site_;    // EdgeId → site index or -1
   std::vector<std::int32_t> vertex_site_;  // Vertex → site index or -1
 };

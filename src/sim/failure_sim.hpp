@@ -37,7 +37,7 @@ struct DrillReport {
   // Serving-plane counters, summed over the drill's batched query() calls.
   // Populated by the session-served overload only (a structure-served
   // drill never touches the query plane — all four stay zero).
-  std::int64_t pair_traversals = 0;     // site-restricted dual traversals
+  std::int64_t pair_traversals = 0;     // dual-pair subtree sweeps
   std::int64_t site_oracle_hits = 0;    // pairs answered O(1) by site-dist
   std::int64_t pair_cache_hits = 0;     // leased-arena traversal reuse
   std::int64_t pair_cache_misses = 0;
@@ -82,8 +82,8 @@ DrillReport run_failure_drill(const FtBfsStructure& h, FaultClass model,
 /// the production query plane. `storm` must be covered by the session's
 /// fault model (CheckError otherwise); kEither runs both single-fault
 /// storms and merges; kDual plays a PAIR storm whose surviving-network
-/// side is answered by batched in-model dual queries (one site-restricted
-/// traversal per distinct pair).
+/// side is answered by batched in-model dual queries (one subtree sweep
+/// per distinct pair).
 DrillReport run_failure_drill(const api::Session& session, FaultClass storm,
                               std::int64_t num_failures, std::uint64_t seed);
 

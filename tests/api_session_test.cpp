@@ -997,6 +997,88 @@ TEST(ApiSessionConcurrency, PrunedDualArenaCacheChurnsUnderConcurrentStorms) {
   for (const std::string& f : failures) EXPECT_EQ(f, "");
 }
 
+TEST(ApiSessionConcurrency, TwoSourcePairStormKeysArenasOnTheSource) {
+  // The same non-reducible pair asked for two sources must never be served
+  // from an arena still holding the other source's sweep. Threads storm a
+  // two-source dual session with both spellings, as tiny inline batches
+  // (one arena across both sources) and forced-sharded ones (pooled arenas
+  // reused across sources); every answer is pinned to brute force.
+  const Graph g = gen::random_connected(32, 70, 23);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.sources = {0, 17};
+  const api::Session session = api::Session::open(g, spec);
+  const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
+  const BfsTree t0(g, w, 0);
+  const BfsTree t1(g, w, 17);
+  std::vector<EdgeId> shared;  // tree edges of both trees: sited for both
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (t0.is_tree_edge(e) && t1.is_tree_edge(e)) shared.push_back(e);
+  }
+  ASSERT_GE(shared.size(), 4u);
+
+  std::vector<Query> all;
+  std::vector<std::int32_t> expected;
+  BfsScratch truth;
+  for (std::size_t i = 0; i + 1 < shared.size(); i += 2) {
+    for (std::int32_t si = 0; si < 2; ++si) {
+      const DualSite a{FaultClass::kEdge, shared[i]};
+      const DualSite b{FaultClass::kEdge, shared[i + 1]};
+      dual_bruteforce_bfs(g, spec.sources[static_cast<std::size_t>(si)], a, b,
+                          truth);
+      for (Vertex v = 0; v < g.num_vertices(); v += 3) {
+        Query q;
+        q.v = v;
+        q.kind = a.kind;
+        q.fault = a.id;
+        q.kind2 = b.kind;
+        q.fault2 = b.id;
+        q.source_index = si;
+        all.push_back(q);
+        expected.push_back(truth.dist(v));
+      }
+    }
+  }
+
+  constexpr int kThreads = 6;
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      Rng rng(static_cast<std::uint64_t>(7300 + t));
+      for (int round = 0; round < 4; ++round) {
+        std::vector<std::uint32_t> order(all.size());
+        for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+        rng.shuffle(order);
+        api::BatchOptions opts;
+        opts.inline_threshold = (round % 2 == 1) ? 0 : 1 << 20;
+        const std::size_t step = (round % 2 == 1) ? order.size() : 16;
+        for (std::size_t lo = 0; lo < order.size(); lo += step) {
+          const std::size_t hi = std::min(lo + step, order.size());
+          std::vector<Query> batch;
+          batch.reserve(hi - lo);
+          for (std::size_t k = lo; k < hi; ++k) {
+            batch.push_back(all[order[k]]);
+          }
+          const QueryResponse resp = session.query(batch, opts);
+          for (std::size_t k = lo; k < hi; ++k) {
+            if (resp.results[k - lo].dist != expected[order[k]]) {
+              failures[static_cast<std::size_t>(t)] =
+                  "thread " + std::to_string(t) + " round " +
+                  std::to_string(round) + " query " +
+                  std::to_string(order[k]);
+              return;
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : workers) th.join();
+  for (const std::string& f : failures) EXPECT_EQ(f, "");
+}
+
 TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossCutover) {
   // The lock-free arena freelist under fire: threads alternate tiny
   // batches (inline path — caller-thread lease/release churn) with large

@@ -15,8 +15,11 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/dual_fault.hpp"
@@ -26,6 +29,7 @@
 #include "src/io/structure_io.hpp"
 #include "src/sim/failure_sim.hpp"
 #include "tests/property_test_util.hpp"
+#include "tests/test_util.hpp"
 
 namespace ftb {
 namespace {
@@ -294,10 +298,9 @@ TEST(DualFault, OracleFastPathsAreExactAndTraversalFree) {
 }
 
 TEST(DualFault, OracleArenaCountsHitsMissesAndEvictions) {
-  // The DualQueryArena is a one-slot traversal cache over the pruned
-  // serving sets: repeats of one non-reducible pair are hits, a different
-  // pair evicts the held traversal (a miss), and reducible pairs bypass
-  // the cache entirely.
+  // The DualQueryArena is a one-slot subtree-sweep cache: repeats of one
+  // non-reducible pair are hits, a different pair evicts the held sweep (a
+  // miss), and reducible pairs bypass the cache entirely.
   const auto pc = test::property_cases(40, 1).front();
   FTB_PROPERTY_TRACE(pc, "dual_fault_test");
   const Graph& g = pc.graph;
@@ -373,6 +376,244 @@ TEST(DualFault, OracleArenaCountsHitsMissesAndEvictions) {
   // The storm ended on {e0, e1}; that pair is still held.
   ASSERT_EQ(oracle.dist(3, e0, e1, arena, nullptr), truth.dist(3));
   EXPECT_EQ(arena.cache_hits(), hits_before + 1);
+}
+
+/// One source's serving stack, assembled the way Session::deploy does.
+struct OracleRig {
+  OracleRig(const Graph& g, Vertex s, const DualSiteTable& tables,
+            std::uint64_t weight_seed)
+      : w(EdgeWeights::uniform_random(g, weight_seed)),
+        tree(g, w, s),
+        ed(tree),
+        vd(tree),
+        oracle(tree, ed, vd, tables) {}
+  EdgeWeights w;
+  BfsTree tree;
+  ReplacementDistTable<EdgeFault> ed;
+  ReplacementDistTable<VertexFault> vd;
+  DualFaultOracle oracle;
+};
+
+/// Pins oracle.dist for the pair {a, b} against brute force at every
+/// vertex, asked in both argument orders.
+void expect_pair_exact(const OracleRig& rig, DualQueryArena& arena,
+                       DualSite a, DualSite b, const std::string& what) {
+  const Graph& g = rig.tree.graph();
+  BfsScratch truth;
+  dual_bruteforce_bfs(g, rig.tree.source(), a, b, truth);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const bool destroyed = (a.kind == FaultClass::kVertex && a.id == v) ||
+                           (b.kind == FaultClass::kVertex && b.id == v);
+    const std::int32_t want = destroyed ? kInfHops : truth.dist(v);
+    ASSERT_EQ(rig.oracle.dist(v, a, b, arena), want) << what << " v=" << v;
+    ASSERT_EQ(rig.oracle.dist(v, b, a, arena), want) << what << " v=" << v;
+  }
+}
+
+DualSite edge_site(EdgeId e) { return DualSite{FaultClass::kEdge, e}; }
+DualSite vertex_site(Vertex x) { return DualSite{FaultClass::kVertex, x}; }
+
+TEST(DualFault, SubtreeSweepServesEveryRegionShape) {
+  // A non-reducible pair is answered by one sweep over the affected region
+  // A = sub(f1) ∪ sub(f2), every v ∉ A read off its T0 depth. Pin every
+  // way A is formed against brute force: nested subtrees, disjoint ones
+  // (the deeper top first and second by id), a sited vertex as the top of
+  // A, a non-sited leaf vertex inside A, a non-tree edge of C_f, the two
+  // largest root subtrees (A is most of the graph), and — on a
+  // disconnected graph — vertices unreachable in T0. One arena serves
+  // every shape, so the cache also turns over between region shapes.
+  std::vector<test::FamilyCase> cases = test::diff_families();
+  {
+    const Graph base = gen::random_connected(24, 50, 5);
+    const Vertex n = base.num_vertices();
+    GraphBuilder b(n + 4);  // + a triangle and an isolated vertex
+    for (EdgeId e = 0; e < base.num_edges(); ++e) {
+      b.add_edge(base.edge(e).first, base.edge(e).second);
+    }
+    b.add_edge(n, n + 1);
+    b.add_edge(n + 1, n + 2);
+    b.add_edge(n + 2, n);
+    cases.push_back({"disconnected", b.build(), 0});
+  }
+  std::set<std::string> seen;
+  for (const test::FamilyCase& fc : cases) {
+    SCOPED_TRACE(fc.name);
+    const Graph& g = fc.graph;
+    api::BuildSpec spec;
+    spec.fault_model = FaultClass::kDual;
+    spec.sources = {fc.source};
+    const api::BuildResult res = api::build(g, spec);
+    const DualSiteTable& tables = res.dual_tables.front();
+    const OracleRig rig(g, fc.source, tables, spec.weight_seed);
+    const BfsTree& tree = rig.tree;
+    if (fc.name == "disconnected") {
+      ASSERT_LT(tree.num_reachable(), g.num_vertices());
+    }
+
+    std::vector<std::tuple<std::string, DualSite, DualSite>> shapes;
+    const auto add = [&](const std::string& name, DualSite a, DualSite b) {
+      for (const auto& [have, x, y] : shapes) {
+        if (have == name) return;  // first instance of each shape only
+      }
+      shapes.emplace_back(name, a, b);
+    };
+    const Vertex s = tree.source();
+    for (const Vertex c : tree.preorder()) {
+      if (c == s) continue;
+      if (!tree.children(c).empty()) {
+        const EdgeId below = tree.parent_edge(tree.children(c).front());
+        add("nested", edge_site(tree.parent_edge(c)), edge_site(below));
+        add("sited vertex top, nested edge", vertex_site(c),
+            edge_site(below));
+        add("sited vertex top, own parent edge", vertex_site(c),
+            edge_site(tree.parent_edge(c)));
+      } else if (tree.parent(c) != s) {
+        add("non-sited leaf inside A",
+            edge_site(tree.parent_edge(tree.parent(c))), vertex_site(c));
+      }
+      for (const Vertex d : tree.preorder()) {
+        if (d == s || tree.depth(d) <= tree.depth(c) ||
+            tree.is_ancestor_or_equal(c, d)) {
+          continue;
+        }
+        const EdgeId ec = tree.parent_edge(c), ed = tree.parent_edge(d);
+        add(ed < ec ? "disjoint, deeper top first"
+                    : "disjoint, deeper top second",
+            edge_site(ec), edge_site(ed));
+      }
+    }
+    for (std::size_t i = 0; i < tables.num_sites(); ++i) {
+      for (const EdgeId e : tables.subset(i)) {
+        if (!tree.is_tree_edge(e)) {
+          add("non-tree edge of C_f", tables.sites[i], edge_site(e));
+        }
+      }
+    }
+    // The two largest root subtrees: A is most of the graph, and the
+    // larger top is internal, so the vertex spelling is sited too.
+    std::vector<Vertex> kids(tree.children(s).begin(), tree.children(s).end());
+    ASSERT_GE(kids.size(), 2u);
+    std::sort(kids.begin(), kids.end(), [&](Vertex x, Vertex y) {
+      return tree.subtree_size(x) > tree.subtree_size(y);
+    });
+    add("both root children (edges)", edge_site(tree.parent_edge(kids[0])),
+        edge_site(tree.parent_edge(kids[1])));
+    add("both root children (vertices)", vertex_site(kids[0]),
+        vertex_site(kids[1]));
+
+    DualQueryArena arena;
+    for (const auto& [name, a, b] : shapes) {
+      seen.insert(name);
+      ASSERT_FALSE(rig.oracle.reducible(a, b)) << name;
+      expect_pair_exact(rig, arena, a, b, name);
+    }
+    // One sweep per shape; every other answer was a cache hit.
+    EXPECT_EQ(arena.cache_misses(), static_cast<std::int64_t>(shapes.size()));
+  }
+  EXPECT_EQ(seen.size(), 9u);  // every shape met on some graph
+}
+
+TEST(DualFault, SubtreeSweepVisitsScaleWithTheRegionNotTheGraph) {
+  // The work counter covers every vertex the sweep touches (seeding plus
+  // settled pops), at most 2·|A| per sweep: a pair of leaf parent edges
+  // costs a handful of visits on a 600-vertex graph, and cache hits cost
+  // none.
+  const Graph g = gen::random_connected(600, 1500, 41);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  const api::BuildResult res = api::build(g, spec);
+  const OracleRig rig(g, 0, res.dual_tables.front(), spec.weight_seed);
+  const BfsTree& tree = rig.tree;
+  std::vector<Vertex> leaves;
+  for (const Vertex x : tree.preorder()) {
+    if (x != 0 && tree.subtree_size(x) == 1) leaves.push_back(x);
+  }
+  ASSERT_GE(leaves.size(), 2u);
+  const std::span<const Vertex> kids = tree.children(0);
+  ASSERT_GE(kids.size(), 2u);
+  const std::int64_t root_region =
+      tree.subtree_size(kids[0]) + tree.subtree_size(kids[1]);
+  const struct {
+    const char* name;
+    DualSite a, b;
+    std::int64_t region;
+  } pairs[] = {
+      {"leaf pair", edge_site(tree.parent_edge(leaves.front())),
+       edge_site(tree.parent_edge(leaves.back())), 2},
+      {"root-child pair", edge_site(tree.parent_edge(kids[0])),
+       edge_site(tree.parent_edge(kids[1])), root_region},
+  };
+  DualQueryArena arena;
+  for (const auto& p : pairs) {
+    const std::int64_t before = arena.sweep_visits();
+    const std::int64_t misses = arena.cache_misses();
+    expect_pair_exact(rig, arena, p.a, p.b, p.name);
+    EXPECT_EQ(arena.cache_misses(), misses + 1) << p.name;
+    const std::int64_t visits = arena.sweep_visits() - before;
+    EXPECT_GT(visits, 0) << p.name;
+    EXPECT_LE(visits, 2 * p.region) << p.name;
+  }
+}
+
+TEST(DualFault, PairSweepCacheIsKeyedOnTheSource) {
+  // The arena's one-slot cache holds one sweep over ONE oracle's tree: the
+  // same pair asked for another source must evict it, never hit. Asked
+  // directly on one shared arena and through one inline Session batch.
+  const Graph g = gen::random_connected(32, 70, 23);
+  api::BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.sources = {0, 17};
+  const api::BuildResult res = api::build(g, spec);
+  ASSERT_EQ(res.dual_tables.size(), 2u);
+  const OracleRig r0(g, 0, res.dual_tables[0], spec.weight_seed);
+  const OracleRig r1(g, 17, res.dual_tables[1], spec.weight_seed);
+  std::vector<EdgeId> shared;  // tree edges of both trees: sited for both
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (r0.tree.is_tree_edge(e) && r1.tree.is_tree_edge(e)) {
+      shared.push_back(e);
+    }
+  }
+  ASSERT_GE(shared.size(), 4u);
+  std::vector<std::pair<DualSite, DualSite>> pairs;
+  for (std::size_t i = 0; i + 1 < shared.size(); i += 2) {
+    pairs.emplace_back(edge_site(shared[i]), edge_site(shared[i + 1]));
+  }
+
+  DualQueryArena arena;
+  for (const auto& [a, b] : pairs) {
+    expect_pair_exact(r0, arena, a, b, "source 0");
+    expect_pair_exact(r1, arena, a, b, "source 17");
+  }
+  EXPECT_EQ(arena.cache_misses(), 2 * static_cast<std::int64_t>(pairs.size()));
+
+  const api::Session session = api::Session::deploy(g, res);
+  std::vector<api::Query> batch;
+  for (const auto& [a, b] : pairs) {
+    for (std::int32_t si = 0; si < 2; ++si) {
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        api::Query q;
+        q.v = v;
+        q.kind = a.kind;
+        q.fault = a.id;
+        q.kind2 = b.kind;
+        q.fault2 = b.id;
+        q.source_index = si;
+        batch.push_back(q);
+      }
+    }
+  }
+  api::BatchOptions inline_opts;
+  inline_opts.inline_threshold = 1 << 20;
+  const api::QueryResponse resp = session.query(batch, inline_opts);
+  EXPECT_EQ(resp.pair_traversals, 2 * static_cast<std::int64_t>(pairs.size()));
+  BfsScratch truth;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const api::Query& q = batch[i];
+    const Vertex src = spec.sources[static_cast<std::size_t>(q.source_index)];
+    dual_bruteforce_bfs(g, src, DualSite{q.kind, q.fault},
+                        DualSite{q.kind2, q.fault2}, truth);
+    ASSERT_EQ(resp.results[i].dist, truth.dist(q.v)) << "query " << i;
+  }
 }
 
 TEST(DualFault, SavedSessionReloadsAndServesIdentically) {
