@@ -5,10 +5,8 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "src/core/dual_fault.hpp"
@@ -192,12 +190,23 @@ struct WhatIfArena {
 // ride the same lock-free free list as the what-if arenas.
 using ArenaLease = PoolLease<WhatIfArena>;
 
+/// A traversal group's counters, written by whichever thread serves the
+/// group and folded into the QueryResponse once every group is done — no
+/// atomic or lock on the read path.
+struct PlaneCounters {
+  std::int64_t what_if_traversals = 0;
+  std::int64_t pair_traversals = 0;
+  std::int64_t pair_cache_hits = 0;
+  std::int64_t pair_cache_misses = 0;
+};
+
 /// One traversal group of a batch: every query naming the same normalized
 /// (source, fault[, fault2]) key, so each distinct failure (pair) costs at
 /// most one traversal.
 struct QueryGroup {
   bool in_model_pair = false;
   std::vector<std::uint32_t> members;
+  PlaneCounters pc;
 };
 
 struct GroupKey {
@@ -229,13 +238,11 @@ struct GroupKeyHash {
 /// capacity, group storage is reused up to n_groups, and the hash map is
 /// cleared (buckets kept), not destroyed.
 struct BatchScratch {
-  std::vector<std::uint32_t> in_model;
   std::vector<QueryGroup> groups;  // high-water storage; n_groups live
   std::size_t n_groups = 0;
   std::unordered_map<GroupKey, std::size_t, GroupKeyHash> group_of;
 
   void reset() {
-    in_model.clear();
     for (std::size_t i = 0; i < n_groups; ++i) groups[i].members.clear();
     n_groups = 0;
     group_of.clear();
@@ -244,18 +251,9 @@ struct BatchScratch {
     if (n_groups == groups.size()) groups.emplace_back();
     QueryGroup& grp = groups[n_groups++];
     grp.in_model_pair = in_model_pair;
+    grp.pc = PlaneCounters{};
     return grp;
   }
-};
-
-/// Per-plane counter accumulator, folded into the QueryResponse once per
-/// worker instead of one atomic bump per query.
-struct PlaneCounters {
-  std::int64_t what_if_traversals = 0;
-  std::int64_t pair_traversals = 0;
-  std::int64_t site_oracle_hits = 0;
-  std::int64_t pair_cache_hits = 0;
-  std::int64_t pair_cache_misses = 0;
 };
 
 /// The normalized (unordered) failure pair of a query: elements sorted by
@@ -295,11 +293,6 @@ struct Session::Impl {
   ThreadPool* pool;  // nullptr = global
   FreeListPool<WhatIfArena> arenas;
   FreeListPool<BatchScratch> batch_scratch;
-  // Auto-tuned inline/sharded cutover (BatchOptions::inline_threshold < 0):
-  // -1 = not measured yet. Benign racy init — concurrent first batches may
-  // both measure and store near-identical values; the threshold is pure
-  // strategy and never changes an answer.
-  mutable std::atomic<std::int32_t> auto_inline_threshold{-1};
   // Degradation state: true when this session serves recomputed pair
   // tables because the artifact's were corrupt or absent (see
   // SessionConfig::tolerate_corruption). Immutable after construction —
@@ -467,39 +460,6 @@ struct Session::Impl {
     return dual_oracles[si].dist(q.v, DualSite{q.kind, q.fault},
                                  DualSite{q.kind2, q.fault2}, arena.dual,
                                  traversals);
-  }
-
-  /// The measured inline/sharded break-even: batches at most this large
-  /// are served on the caller thread. One empty pool dispatch is timed
-  /// (amortized over a few reps) and weighed against ~50ns per in-model
-  /// lookup and the fraction of work parallelism can actually take off
-  /// the caller — capped by the HARDWARE concurrency, since an 8-thread
-  /// pool on a 1-core box removes nothing from the caller's critical
-  /// path and sharding there is pure overhead at any batch size. The
-  /// result is clamped to sane bounds and cached for the session's
-  /// lifetime.
-  std::int32_t inline_cutover() const {
-    std::int32_t cached = auto_inline_threshold.load(std::memory_order_relaxed);
-    if (cached >= 0) return cached;
-    ThreadPool& wp = worker_pool();
-    const std::size_t hw =
-        std::max<unsigned>(1, std::thread::hardware_concurrency());
-    const std::size_t workers = std::min(wp.thread_count(), hw);
-    std::int32_t n_star = std::numeric_limits<std::int32_t>::max();
-    if (workers > 1) {
-      constexpr int kReps = 16;
-      Timer t;
-      for (int r = 0; r < kReps; ++r) {
-        wp.parallel_for(workers, [](std::size_t) {});
-      }
-      const double dispatch_ns = t.seconds() * 1e9 / kReps;
-      constexpr double kLookupNs = 50.0;
-      const double gain = 1.0 - 1.0 / static_cast<double>(workers);
-      n_star = static_cast<std::int32_t>(dispatch_ns / (kLookupNs * gain));
-      n_star = std::clamp(n_star, 256, 1 << 20);
-    }
-    auto_inline_threshold.store(n_star, std::memory_order_relaxed);
-    return n_star;
   }
 
   /// In-model O(1) answer. Precondition: classified kInModel.
@@ -741,38 +701,23 @@ QueryResponse Session::query(QueryBatch batch,
   resp.results.assign(batch.size(), QueryResult{});
   if (batch.empty()) return resp;
 
-  // Adaptive cutover: below the (measured or overridden) break-even the
-  // whole batch is served inline on the caller thread — no pool dispatch,
-  // and O(1) answers are written during the classification pass itself.
-  const std::int32_t threshold = opts.inline_threshold >= 0
-                                     ? opts.inline_threshold
-                                     : im.inline_cutover();
-  const bool inline_serve =
-      batch.size() <= static_cast<std::size_t>(threshold);
-  // With the site-local oracle attached every in-model pair is O(1) and
-  // joins the in-model plane; without it pairs group for (at most) one
-  // subtree sweep per distinct pair.
+  // With the site-local oracle attached every in-model pair is O(1);
+  // without it pairs group for (at most) one subtree sweep per distinct
+  // pair.
   const bool oracle_pairs = im.has_site_dist();
 
   // Serial pass over a pooled scratch (zero per-batch allocation once the
   // high-water marks are warm): validate (throws before any parallel
-  // work), classify, and group every traversal-shaped query — what-ifs
-  // and non-oracle in-model pairs — by (source, normalized fault[,
-  // fault2]) so each distinct failure (pair) is traversed at most once.
-  // The scratch is leased LAZILY: an inline batch whose every answer is
-  // O(1) — the high-QPS steady state — pays for the response vector and
-  // nothing else, so small batches stay ahead of a bare query_one loop.
+  // work), classify, write every O(1) answer on the spot, and group every
+  // traversal-shaped query — what-ifs and non-oracle in-model pairs — by
+  // (source, normalized fault[, fault2]) so each distinct failure (pair)
+  // is traversed at most once. The scratch is leased LAZILY: a batch whose
+  // every answer is O(1) — the high-QPS steady state — pays for the
+  // response vector and nothing else, at any batch size.
   std::optional<PoolLease<BatchScratch>> scratch;
   BatchScratch* scp = nullptr;
-  const auto sc_get = [&]() -> BatchScratch& {
-    if (scp == nullptr) {
-      scratch.emplace(im.batch_scratch);
-      scp = &**scratch;
-      scp->reset();
-    }
-    return *scp;
-  };
-  if (!inline_serve) sc_get();  // the sharded path always shards a list
+  // The known traversal work of the groups, in kShardWork units.
+  std::int64_t group_work = 0;
   const auto key_of = [](const Query& q) {
     const auto [a, b] = normalized_pair(q);
     return GroupKey{q.source_index, static_cast<std::uint8_t>(a.kind), a.id,
@@ -780,13 +725,20 @@ QueryResponse Session::query(QueryBatch batch,
   };
   const auto group_push = [&](std::size_t i, const Query& q,
                               bool in_model_pair) {
-    BatchScratch& sc = sc_get();
+    if (scp == nullptr) {
+      scratch.emplace(im.batch_scratch);
+      scp = &**scratch;
+      scp->reset();
+    }
     const auto [it, inserted] =
-        sc.group_of.try_emplace(key_of(q), sc.n_groups);
-    if (inserted) sc.push_group(in_model_pair);
-    sc.groups[it->second].members.push_back(static_cast<std::uint32_t>(i));
+        scp->group_of.try_emplace(key_of(q), scp->n_groups);
+    if (inserted) {
+      scp->push_group(in_model_pair);
+      if (!in_model_pair) group_work += im.g->num_vertices();
+    }
+    scp->groups[it->second].members.push_back(static_cast<std::uint32_t>(i));
+    ++group_work;
   };
-  PlaneCounters inline_pc;
   std::int64_t n_in_model = 0, n_what_if = 0, n_refused = 0, n_degraded = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Query& q = batch[i];
@@ -797,18 +749,14 @@ QueryResponse Session::query(QueryBatch batch,
       case QueryOutcome::kInModel:
       case QueryOutcome::kDegraded:  // recomputed tables, same serving path
         outcome == QueryOutcome::kInModel ? ++n_in_model : ++n_degraded;
-        if (q.fault2 >= 0 && !oracle_pairs) {
-          group_push(i, q, /*in_model_pair=*/true);
-        } else if (inline_serve) {
-          if (q.fault2 >= 0) {
-            bool used_oracle = false;
-            im.pair_fast(q, &resp.results[i].dist, &used_oracle);
-            if (used_oracle) ++inline_pc.site_oracle_hits;
-          } else {
-            resp.results[i].dist = im.in_model_dist(q);
-          }
+        if (q.fault2 < 0) {
+          resp.results[i].dist = im.in_model_dist(q);
+        } else if (oracle_pairs) {
+          bool used_oracle = false;
+          im.pair_fast(q, &resp.results[i].dist, &used_oracle);
+          if (used_oracle) ++resp.site_oracle_hits;
         } else {
-          scp->in_model.push_back(static_cast<std::uint32_t>(i));
+          group_push(i, q, /*in_model_pair=*/true);
         }
         break;
       case QueryOutcome::kWhatIf:
@@ -839,10 +787,9 @@ QueryResponse Session::query(QueryBatch batch,
 
   // One group's service: at most one traversal (a literal BFS for
   // what-ifs, a subtree sweep for non-oracle pairs), answers fanned out
-  // to every member, counters accumulated locally and folded in once per
-  // worker.
-  const auto serve_group = [&](const QueryGroup& grp, WhatIfArena& arena,
-                               PlaneCounters& pc) {
+  // to every member, counters kept in the group.
+  const auto serve_group = [&](QueryGroup& grp, WhatIfArena& arena) {
+    PlaneCounters& pc = grp.pc;
     const auto exhaust = [&] {
       for (const std::uint32_t idx : grp.members) {
         resp.results[idx].outcome = QueryOutcome::kBudgetExhausted;
@@ -884,70 +831,35 @@ QueryResponse Session::query(QueryBatch batch,
       resp.results[idx].dist = im.what_if_dist(batch[idx], arena);
     }
   };
-  const auto fold = [&resp](const PlaneCounters& pc) {
+  // The batch rule (see kShardWork): shard the groups only when there are
+  // several and their work pays for a pool dispatch; otherwise drain them
+  // on the caller thread with ONE arena whose traversal cache persists
+  // across the whole batch.
+  const std::size_t n_groups = scp != nullptr ? scp->n_groups : 0;
+  if (n_groups >= 2 && group_work >= kShardWork) {
+    im.worker_pool().parallel_for(n_groups, [&](std::size_t gi) {
+      ArenaLease arena(im.arenas);
+      serve_group(scp->groups[gi], *arena);
+    });
+  } else if (n_groups > 0) {
+    ArenaLease arena(im.arenas);
+    for (std::size_t gi = 0; gi < n_groups; ++gi) {
+      serve_group(scp->groups[gi], *arena);
+    }
+  }
+  for (std::size_t gi = 0; gi < n_groups; ++gi) {
+    const PlaneCounters& pc = scp->groups[gi].pc;
     resp.what_if_traversals += pc.what_if_traversals;
     resp.pair_traversals += pc.pair_traversals;
-    resp.site_oracle_hits += pc.site_oracle_hits;
     resp.pair_cache_hits += pc.pair_cache_hits;
     resp.pair_cache_misses += pc.pair_cache_misses;
-  };
-
-  if (inline_serve) {
-    // O(1) answers were written during the serial pass; drain the groups
-    // on the caller thread with ONE arena whose traversal cache persists
-    // across the whole batch. A group-free batch never leased a scratch.
-    if (scp != nullptr && scp->n_groups > 0) {
-      ArenaLease arena(im.arenas);
-      for (std::size_t gi = 0; gi < scp->n_groups; ++gi) {
-        serve_group(scp->groups[gi], *arena, inline_pc);
-      }
-    }
-    fold(inline_pc);
-  } else {
-    BatchScratch& sc = *scp;
-    ThreadPool& pool = im.worker_pool();
-    // In-model plane: pure O(1) table/oracle reads against immutable
-    // state — embarrassingly parallel, no scratch beyond the index list.
-    std::atomic<std::int64_t> oracle_hits{0};
-    pool.parallel_for(sc.in_model.size(), [&](std::size_t k) {
-      const std::uint32_t idx = sc.in_model[k];
-      const Query& q = batch[idx];
-      if (q.fault2 >= 0) {
-        bool used_oracle = false;
-        im.pair_fast(q, &resp.results[idx].dist, &used_oracle);
-        if (used_oracle) {
-          oracle_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        resp.results[idx].dist = im.in_model_dist(q);
-      }
-    });
-    resp.site_oracle_hits += oracle_hits.load();
-
-    // Traversal plane: one leased arena per group.
-    std::atomic<std::int64_t> wt{0}, pt{0}, oh{0}, ch{0}, cm{0};
-    pool.parallel_for(sc.n_groups, [&](std::size_t gi) {
-      ArenaLease arena(im.arenas);
-      PlaneCounters pc;
-      serve_group(sc.groups[gi], *arena, pc);
-      wt.fetch_add(pc.what_if_traversals, std::memory_order_relaxed);
-      pt.fetch_add(pc.pair_traversals, std::memory_order_relaxed);
-      oh.fetch_add(pc.site_oracle_hits, std::memory_order_relaxed);
-      ch.fetch_add(pc.pair_cache_hits, std::memory_order_relaxed);
-      cm.fetch_add(pc.pair_cache_misses, std::memory_order_relaxed);
-    });
-    resp.what_if_traversals += wt.load();
-    resp.pair_traversals += pt.load();
-    resp.site_oracle_hits += oh.load();
-    resp.pair_cache_hits += ch.load();
-    resp.pair_cache_misses += cm.load();
   }
 
   // Counter tally: a batch that served no groups kept every classified
   // outcome, so the serial-pass counts stand as-is. A group that lost the
   // budget race (or the deadline) flipped its members' outcomes, so only
   // group-bearing batches pay the re-count over the results.
-  if (scp != nullptr && scp->n_groups > 0) {
+  if (n_groups > 0) {
     for (const QueryResult& r : resp.results) {
       switch (r.outcome) {
         case QueryOutcome::kInModel:

@@ -256,14 +256,19 @@ struct BatchOptions {
   /// deadline. Groups starting after the deadline return kBudgetExhausted
   /// (a group already traversing is finished, not aborted).
   double deadline_seconds = 0;
-  /// Adaptive cutover override: batches of at most this many queries are
-  /// served inline on the caller thread (no pool dispatch); larger ones
-  /// shard across the ThreadPool. < 0 (the default) auto-tunes the
-  /// break-even from a measured dispatch cost, once per session; 0 forces
-  /// sharding for every non-empty batch. Strategy only — answers are
-  /// bit-identical either way.
-  std::int32_t inline_threshold = -1;
 };
+
+/// The batch rule of Session::query, fixed and clock-free. Every O(1)
+/// answer (an in-model single, or any in-model pair when the site-local
+/// oracle is attached) is written on the caller thread while the batch is
+/// classified. The traversal groups (one per distinct what-if failure, and
+/// one per distinct in-model pair otherwise) shard across the ThreadPool
+/// only when there are at least two of them and their known work reaches
+/// this many units: one per grouped query, plus Graph::num_vertices() per
+/// what-if group (a subtree pair sweep adds none). Otherwise the caller
+/// drains them with one arena. Strategy only: answers are bit-identical
+/// either way.
+inline constexpr std::int64_t kShardWork = 2048;
 
 /// Knobs for serving a structure built elsewhere (Session::load).
 struct SessionConfig {

@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/replacement.hpp"
@@ -25,6 +27,7 @@
 #include "src/graph/bfs_tree.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/lower_bound.hpp"
+#include "src/util/fault_inject.hpp"
 #include "src/util/rng.hpp"
 #include "tests/test_util.hpp"
 
@@ -397,8 +400,8 @@ TEST(ApiSession, AnotherSourceMayFailInModel) {
 
 // ---------------------------------------------------------------------------
 // The serving-plane additions: the site-local dual oracle (zero-traversal
-// pair answers), the surfaced arena-cache counters, and the adaptive
-// inline/sharded cutover — all bit-identical to the serial referee.
+// pair answers), the surfaced arena-cache counters, and the batch rule
+// (api::kShardWork) — all bit-identical to the serial referee.
 
 /// A storm of dual-pair queries (edge×edge over consecutive tree edges,
 /// plus edge×vertex mixes) across every destination stride.
@@ -570,70 +573,151 @@ TEST(ApiSession, SiteDistOracleSurvivesSaveLoadAndRebuilds) {
   std::remove(path.c_str());
 }
 
-TEST(ApiSession, InlineCutoverBoundaryBitIdentical) {
-  // BatchOptions::inline_threshold pins the strategy: a batch exactly at
-  // the threshold serves inline on the caller thread, one past it shards
-  // across the pool — and the answers must not know the difference.
+/// `base` cycled to exactly n queries.
+std::vector<Query> tile(const std::vector<Query>& base, std::size_t n) {
+  std::vector<Query> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(base[i % base.size()]);
+  return out;
+}
+
+/// The batch rule of Session::query (api::kShardWork), recomputed from the
+/// outside. A zero-budget run marks exactly the traversal-group members
+/// (kBudgetExhausted); they are keyed like the session's groups — source
+/// plus unordered fault pair — and each group's work is its member count,
+/// plus n when it is a what-if (anything but a dual session's pair).
+bool shards(const api::Session& session, std::span<const Query> batch) {
+  api::BatchOptions starved;
+  starved.max_traversals = 0;
+  const QueryResponse resp = session.query(batch, starved);
+  std::set<std::tuple<std::int32_t, DualSite, DualSite>> groups;
+  std::int64_t work = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (resp.results[i].outcome != QueryOutcome::kBudgetExhausted) continue;
+    const Query& q = batch[i];
+    DualSite a{q.kind, q.fault};
+    DualSite b = q.fault2 >= 0 ? DualSite{q.kind2, q.fault2} : DualSite{};
+    if (b.id >= 0 && b < a) std::swap(a, b);
+    const bool pair_sweep =
+        q.fault2 >= 0 && session.fault_model() == FaultClass::kDual;
+    if (groups.emplace(q.source_index, a, b).second && !pair_sweep) {
+      work += session.graph().num_vertices();
+    }
+    ++work;
+  }
+  return groups.size() >= 2 && work >= api::kShardWork;
+}
+
+/// Every answer and outcome of `batch` against query_one.
+void expect_matches_query_one(const api::Session& session,
+                              const std::vector<Query>& batch,
+                              const std::string& tag) {
+  const QueryResponse resp = session.query(batch);
+  ASSERT_EQ(resp.results.size(), batch.size()) << tag;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const api::QueryResult want = session.query_one(batch[i]);
+    ASSERT_EQ(resp.results[i].dist, want.dist) << tag << " i=" << i;
+    ASSERT_EQ(resp.results[i].outcome, want.outcome) << tag << " i=" << i;
+  }
+}
+
+/// The single in-model queries of a session: every (v, edge) cell.
+std::vector<Query> o1_singles(const api::Session& session) {
+  std::vector<Query> out;
+  const Graph& g = session.graph();
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    for (Vertex v = 0; v < g.num_vertices(); v += 5) {
+      Query q;
+      q.v = v;
+      q.fault = e;
+      out.push_back(q);
+    }
+  }
+  return out;
+}
+
+TEST(ApiSession, BatchRuleBoundaryBitIdentical) {
+  // Session::query's one batch rule: O(1) answers are served on the caller
+  // thread at every batch size; traversal groups shard only when there are
+  // at least two and their work reaches api::kShardWork. Answers must not
+  // know which side of the rule a batch falls on.
   const Graph g = gen::random_connected(36, 90, 41);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;
   const api::Session session = api::Session::open(g, spec);
+  const auto work = static_cast<std::size_t>(api::kShardWork);
 
-  std::vector<Query> batch = pair_storm(session, 4);
-  for (Vertex v = 0; v < g.num_vertices(); v += 3) {  // mix in singles
-    Query q;
-    q.v = v;
-    q.kind = FaultClass::kEdge;
-    q.fault = 0;
-    batch.push_back(q);
+  const std::vector<Query> singles = o1_singles(session);
+  for (const std::size_t n : {1u, 64u, 4096u, 32768u}) {
+    const std::vector<Query> batch = tile(singles, n);
+    EXPECT_FALSE(shards(session, batch));
+    expect_matches_query_one(session, batch, "all-O(1) n=" + std::to_string(n));
   }
-  std::vector<api::QueryResult> expected;
-  expected.reserve(batch.size());
-  for (const Query& q : batch) expected.push_back(session.query_one(q));
 
-  const auto n = static_cast<std::int32_t>(batch.size());
-  for (const std::int32_t threshold : {n, n - 1, 0, -1}) {
-    api::BatchOptions opts;
-    opts.inline_threshold = threshold;
-    const QueryResponse resp = session.query(batch, opts);
-    ASSERT_EQ(resp.results.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(resp.results[i].dist, expected[i].dist)
-          << "threshold=" << threshold << " i=" << i;
-      EXPECT_EQ(resp.results[i].outcome, expected[i].outcome)
-          << "threshold=" << threshold << " i=" << i;
-    }
-  }
+  // Every pair query of a dual session without the site-local oracle
+  // joins a subtree-sweep group, so a pair-only batch's work is its size.
+  const std::vector<Query> pairs = pair_storm(session, 4);
+  // One group stays inline however much work it carries.
+  const std::vector<Query> one_group = tile({pairs.front()}, 2 * work);
+  EXPECT_FALSE(shards(session, one_group));
+  expect_matches_query_one(session, one_group, "one group");
+
+  const std::vector<Query> below = tile(pairs, work - 1);
+  EXPECT_FALSE(shards(session, below));
+  expect_matches_query_one(session, below, "below the rule");
+  // O(1) answers add no work: a below-rule group set stays inline however
+  // many of them ride along.
+  std::vector<Query> below_mixed = below;
+  below_mixed.insert(below_mixed.end(), singles.begin(), singles.end());
+  EXPECT_FALSE(shards(session, below_mixed));
+  expect_matches_query_one(session, below_mixed, "below the rule + O(1)");
+
+  const std::vector<Query> at = tile(pairs, work);
+  EXPECT_TRUE(shards(session, at));
+  expect_matches_query_one(session, at, "at the rule");
+  std::vector<Query> above = tile(pairs, 3 * work);
+  above.insert(above.end(), singles.begin(), singles.end());
+  EXPECT_TRUE(shards(session, above));
+  expect_matches_query_one(session, above, "above the rule + O(1)");
 
   // kBudgetExhausted interplay is path-independent at budget 0: every
-  // traversal group exhausts, every O(1) answer is still served — on the
-  // inline path and the sharded path alike.
-  api::BatchOptions starved_inline;
-  starved_inline.max_traversals = 0;
-  starved_inline.inline_threshold = n;
-  api::BatchOptions starved_sharded;
-  starved_sharded.max_traversals = 0;
-  starved_sharded.inline_threshold = 0;
-  const QueryResponse ri = session.query(batch, starved_inline);
-  const QueryResponse rs = session.query(batch, starved_sharded);
-  EXPECT_GT(ri.budget_exhausted, 0);
+  // traversal group exhausts, every O(1) answer is still served — whether
+  // the groups would have run on the caller thread or across the pool.
+  std::vector<Query> inline_shape = one_group;
+  std::vector<Query> sharded_shape = tile(pairs, 2 * work);
+  inline_shape.insert(inline_shape.end(), singles.begin(), singles.end());
+  sharded_shape.insert(sharded_shape.end(), singles.begin(), singles.end());
+  ASSERT_FALSE(shards(session, inline_shape));
+  ASSERT_TRUE(shards(session, sharded_shape));
+  api::BatchOptions starved;
+  starved.max_traversals = 0;
+  const QueryResponse ri = session.query(inline_shape, starved);
+  const QueryResponse rs = session.query(sharded_shape, starved);
+  EXPECT_EQ(ri.budget_exhausted, static_cast<std::int64_t>(2 * work));
   EXPECT_EQ(ri.budget_exhausted, rs.budget_exhausted);
+  EXPECT_EQ(ri.in_model, static_cast<std::int64_t>(singles.size()));
   EXPECT_EQ(ri.in_model, rs.in_model);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(ri.results[i].dist, rs.results[i].dist) << "i=" << i;
-    EXPECT_EQ(ri.results[i].outcome, rs.results[i].outcome) << "i=" << i;
+  for (std::size_t i = 0; i < inline_shape.size(); ++i) {
+    const bool o1 = i >= 2 * work;
+    const api::QueryResult want =
+        o1 ? session.query_one(inline_shape[i])
+           : api::QueryResult{kInfHops, QueryOutcome::kBudgetExhausted};
+    EXPECT_EQ(ri.results[i].dist, want.dist) << "i=" << i;
+    EXPECT_EQ(ri.results[i].outcome, want.outcome) << "i=" << i;
+    EXPECT_EQ(rs.results[i].dist, want.dist) << "i=" << i;
+    EXPECT_EQ(rs.results[i].outcome, want.outcome) << "i=" << i;
   }
 }
 
-TEST(ApiSession, InlineCutoverBoundaryOnDegradedSessions) {
-  // The cutover is pure strategy on degraded sessions too: recomputed
-  // tables, kDegraded tags, identical distances on both paths.
+TEST(ApiSession, BatchRuleBoundaryOnDegradedSessions) {
+  // The rule is pure strategy on degraded sessions too: recomputed tables,
+  // kDegraded tags, identical distances on both group paths.
   const Graph g = gen::grid_graph(5, 5);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;
   const api::Session fresh = api::Session::open(g, spec);
   const std::string path =
-      ::testing::TempDir() + "/api_session_cutover_degraded.ftbfs";
+      ::testing::TempDir() + "/api_session_rule_degraded.ftbfs";
   fresh.save_v5(path);
   {
     std::ifstream in(path, std::ios::binary);
@@ -650,24 +734,71 @@ TEST(ApiSession, InlineCutoverBoundaryOnDegradedSessions) {
   const api::Session session = api::Session::load(g, path);
   ASSERT_TRUE(session.degraded());
 
-  const std::vector<Query> batch = pair_storm(session, 2);
-  std::vector<api::QueryResult> expected;
-  expected.reserve(batch.size());
-  for (const Query& q : batch) expected.push_back(session.query_one(q));
-
-  const auto n = static_cast<std::int32_t>(batch.size());
-  for (const std::int32_t threshold : {n, 0}) {
-    api::BatchOptions opts;
-    opts.inline_threshold = threshold;
-    const QueryResponse resp = session.query(batch, opts);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(resp.results[i].dist, expected[i].dist)
-          << "threshold=" << threshold << " i=" << i;
-      EXPECT_EQ(resp.results[i].outcome, QueryOutcome::kDegraded)
-          << "threshold=" << threshold << " i=" << i;
-    }
+  const std::vector<Query> pairs = pair_storm(session, 2);
+  const auto work = static_cast<std::size_t>(api::kShardWork);
+  for (const std::size_t n : {pairs.size(), work - 1, work}) {
+    const std::vector<Query> batch = tile(pairs, n);
+    EXPECT_EQ(shards(session, batch), n >= work) << "n=" << n;
+    expect_matches_query_one(session, batch, "n=" + std::to_string(n));
+    const QueryResponse resp = session.query(batch);
+    EXPECT_EQ(resp.degraded, static_cast<std::int64_t>(n));
   }
   std::remove(path.c_str());
+}
+
+#if FTB_FAULT_INJECTION_ENABLED
+#define FTB_REQUIRE_INJECTION()
+#else
+#define FTB_REQUIRE_INJECTION() \
+  GTEST_SKIP() << "fault-injection points compile away in Release builds"
+#endif
+
+TEST(ApiSession, BatchRuleDispatchIsDeterministic) {
+  // The rule itself, with no clock: every ThreadPool task passes the
+  // pool_task injection point, so at rate 0 (counts, never fires) the
+  // change in its check count is the number of tasks a batch dispatched.
+  FTB_REQUIRE_INJECTION();
+  struct Disarm {
+    ~Disarm() { fault::Injector::instance().disarm(); }
+  } disarm;
+  auto& inj = fault::Injector::instance();
+  const auto dispatched = [&](const api::Session& session,
+                              const std::vector<Query>& batch) {
+    inj.configure(1, 0.0, 1u << static_cast<unsigned>(fault::Point::kPoolTask));
+    const QueryResponse resp = session.query(batch);
+    EXPECT_EQ(resp.results.size(), batch.size());
+    return inj.checks(fault::Point::kPoolTask);
+  };
+  const auto work = static_cast<std::size_t>(api::kShardWork);
+
+  const Graph g = gen::random_connected(36, 90, 41);
+  api::BuildSpec dual;
+  dual.fault_model = FaultClass::kDual;
+  const api::Session session = api::Session::open(g, dual);
+  EXPECT_EQ(dispatched(session, tile(o1_singles(session), 32768)), 0u);
+  const std::vector<Query> pairs = pair_storm(session, 4);
+  std::set<std::pair<std::int32_t, DualSite>> keys;  // one per group
+  for (const Query& q : pairs) {
+    keys.emplace(q.fault, DualSite{q.kind2, q.fault2});
+  }
+  ASSERT_LT(pairs.size(), work);  // both tiles below hold every group
+  EXPECT_EQ(dispatched(session, tile(pairs, work - 1)), 0u);
+  EXPECT_EQ(dispatched(session, tile(pairs, work)), keys.size());
+
+  // What-if groups weigh n each: two vertex what-ifs on an edge session
+  // sit exactly one unit either side of the rule.
+  const Graph big = gen::random_connected(100, 250, 7);
+  const api::Session edge = api::Session::open(big, api::BuildSpec{});
+  std::vector<Query> what_ifs(2);
+  for (std::size_t k = 0; k < what_ifs.size(); ++k) {
+    what_ifs[k].v = static_cast<Vertex>(40 + k);
+    what_ifs[k].kind = FaultClass::kVertex;
+    what_ifs[k].fault = static_cast<Vertex>(1 + k);
+    what_ifs[k].allow_what_if = true;
+  }
+  const std::size_t members = work - 2 * 100;
+  EXPECT_EQ(dispatched(edge, tile(what_ifs, members - 1)), 0u);
+  EXPECT_EQ(dispatched(edge, tile(what_ifs, members)), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -722,6 +853,15 @@ TEST(ApiSessionConcurrency, ManyThreadsMixedBatchesMatchSerial) {
   expected.reserve(all.size());
   for (const Query& q : all) expected.push_back(session.query_one(q));
 
+  // Rounds alternate both sides of the batch rule: the whole pool shards
+  // its what-if groups across the ThreadPool, while a chunk this small
+  // stays below api::kShardWork (each of its groups weighs at most n + 1)
+  // and drains on the caller thread.
+  ASSERT_TRUE(shards(session, all));
+  const std::size_t chunk = static_cast<std::size_t>(
+      (api::kShardWork - 1) / (g.num_vertices() + 1));
+  ASSERT_GE(chunk, 2u);
+
   constexpr int kThreads = 8;
   constexpr int kRounds = 6;
   std::vector<std::string> failures(kThreads);
@@ -736,18 +876,23 @@ TEST(ApiSessionConcurrency, ManyThreadsMixedBatchesMatchSerial) {
         std::vector<std::uint32_t> order(all.size());
         for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
         rng.shuffle(order);
-        std::vector<Query> batch;
-        batch.reserve(order.size());
-        for (const std::uint32_t i : order) batch.push_back(all[i]);
-        const QueryResponse resp = session.query(batch);
-        for (std::size_t k = 0; k < order.size(); ++k) {
-          const api::QueryResult& want = expected[order[k]];
-          const api::QueryResult& got = resp.results[k];
-          if (got.dist != want.dist || got.outcome != want.outcome) {
-            failures[static_cast<std::size_t>(t)] =
-                "thread " + std::to_string(t) + " round " +
-                std::to_string(round) + " query " + std::to_string(order[k]);
-            return;
+        const std::size_t step = (round % 2 == 1) ? order.size() : chunk;
+        for (std::size_t lo = 0; lo < order.size(); lo += step) {
+          const std::size_t hi = std::min(lo + step, order.size());
+          std::vector<Query> batch;
+          batch.reserve(hi - lo);
+          for (std::size_t k = lo; k < hi; ++k) batch.push_back(all[order[k]]);
+          const QueryResponse resp = session.query(batch);
+          for (std::size_t k = lo; k < hi; ++k) {
+            const api::QueryResult& want = expected[order[k]];
+            const api::QueryResult& got = resp.results[k - lo];
+            if (got.dist != want.dist || got.outcome != want.outcome) {
+              failures[static_cast<std::size_t>(t)] =
+                  "thread " + std::to_string(t) + " round " +
+                  std::to_string(round) + " query " +
+                  std::to_string(order[k]);
+              return;
+            }
           }
         }
       }
@@ -755,7 +900,6 @@ TEST(ApiSessionConcurrency, ManyThreadsMixedBatchesMatchSerial) {
   }
   for (auto& w : workers) w.join();
   for (const std::string& f : failures) EXPECT_EQ(f, "");
-  (void)h;
 }
 
 TEST(ApiSessionConcurrency, DualPairStormManyThreadsMatchSerial) {
@@ -1000,9 +1144,10 @@ TEST(ApiSessionConcurrency, PrunedDualArenaCacheChurnsUnderConcurrentStorms) {
 TEST(ApiSessionConcurrency, TwoSourcePairStormKeysArenasOnTheSource) {
   // The same non-reducible pair asked for two sources must never be served
   // from an arena still holding the other source's sweep. Threads storm a
-  // two-source dual session with both spellings, as tiny inline batches
-  // (one arena across both sources) and forced-sharded ones (pooled arenas
-  // reused across sources); every answer is pinned to brute force.
+  // two-source dual session with both spellings, as tiny below-rule batches
+  // (one caller-thread arena across both sources) and above-rule ones
+  // (pooled arenas reused across sources); every answer is pinned to brute
+  // force.
   const Graph g = gen::random_connected(32, 70, 23);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;
@@ -1040,6 +1185,12 @@ TEST(ApiSessionConcurrency, TwoSourcePairStormKeysArenasOnTheSource) {
     }
   }
 
+  // Every query is a pair-group member, so a batch's work is its size:
+  // 16-query batches stay below api::kShardWork, and odd rounds send the
+  // storm cycled past it, which shards.
+  const std::size_t big = static_cast<std::size_t>(api::kShardWork);
+  ASSERT_TRUE(shards(session, tile(all, big)));
+
   constexpr int kThreads = 6;
   std::vector<std::string> failures(kThreads);
   std::vector<std::thread> workers;
@@ -1051,9 +1202,11 @@ TEST(ApiSessionConcurrency, TwoSourcePairStormKeysArenasOnTheSource) {
         std::vector<std::uint32_t> order(all.size());
         for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
         rng.shuffle(order);
-        api::BatchOptions opts;
-        opts.inline_threshold = (round % 2 == 1) ? 0 : 1 << 20;
-        const std::size_t step = (round % 2 == 1) ? order.size() : 16;
+        const bool sharded = round % 2 == 1;
+        for (std::size_t k = 0; sharded && order.size() < big; ++k) {
+          order.push_back(order[k]);
+        }
+        const std::size_t step = sharded ? order.size() : 16;
         for (std::size_t lo = 0; lo < order.size(); lo += step) {
           const std::size_t hi = std::min(lo + step, order.size());
           std::vector<Query> batch;
@@ -1061,7 +1214,7 @@ TEST(ApiSessionConcurrency, TwoSourcePairStormKeysArenasOnTheSource) {
           for (std::size_t k = lo; k < hi; ++k) {
             batch.push_back(all[order[k]]);
           }
-          const QueryResponse resp = session.query(batch, opts);
+          const QueryResponse resp = session.query(batch);
           for (std::size_t k = lo; k < hi; ++k) {
             if (resp.results[k - lo].dist != expected[order[k]]) {
               failures[static_cast<std::size_t>(t)] =
@@ -1079,20 +1232,22 @@ TEST(ApiSessionConcurrency, TwoSourcePairStormKeysArenasOnTheSource) {
   for (const std::string& f : failures) EXPECT_EQ(f, "");
 }
 
-TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossCutover) {
+TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossTheBatchRule) {
   // The lock-free arena freelist under fire: threads alternate tiny
-  // batches (inline path — caller-thread lease/release churn) with large
-  // forced-sharded batches (pool threads leasing concurrently), plus the
-  // site-dist oracle plane in the mix. Every answer bit-identical to the
-  // serial referee; TSan (ctest -L concurrency) watches the freelist.
+  // below-rule batches (caller-thread lease/release churn) with the storm
+  // cycled past api::kShardWork (pool threads leasing concurrently), and
+  // send every batch to a site-dist oracle session too, whose pairs are all
+  // O(1). Every answer bit-identical to the serial referee; TSan (ctest -L
+  // concurrency) watches the freelist.
   const Graph g = gen::random_connected(32, 80, 17);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;
+  const api::Session plain = api::Session::open(g, spec);
   spec.site_dist_oracle = true;
-  const api::Session session = api::Session::open(g, spec);
+  const api::Session oracle = api::Session::open(g, spec);
 
-  std::vector<Query> all = pair_storm(session, 2);
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {  // singles churn arenas too
+  std::vector<Query> all = pair_storm(plain, 2);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {  // O(1) singles ride along
     Query q;
     q.v = v;
     q.kind = FaultClass::kVertex;
@@ -1103,7 +1258,11 @@ TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossCutover) {
 
   std::vector<api::QueryResult> expected;
   expected.reserve(all.size());
-  for (const Query& q : all) expected.push_back(session.query_one(q));
+  for (const Query& q : all) expected.push_back(plain.query_one(q));
+  // The singles add no group work, so cycle to twice the rule.
+  const std::size_t big = 2 * static_cast<std::size_t>(api::kShardWork);
+  ASSERT_TRUE(shards(plain, tile(all, big)));
+  ASSERT_FALSE(shards(oracle, tile(all, big)));
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 4;
@@ -1117,28 +1276,32 @@ TEST(ApiSessionConcurrency, ArenaFreeListStormAcrossCutover) {
         std::vector<std::uint32_t> order(all.size());
         for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
         rng.shuffle(order);
-        // Odd rounds: the whole storm forced through the sharded path.
-        // Even rounds: a stream of tiny inline batches (size ≤ 8), each
-        // leasing and releasing scratch + arenas on the caller thread.
-        api::BatchOptions opts;
-        opts.inline_threshold = (round % 2 == 1) ? 0 : 1 << 20;
-        const std::size_t step = (round % 2 == 1) ? order.size() : 8;
+        // Odd rounds: one batch of the storm cycled past the rule. Even
+        // rounds: a stream of tiny batches (size ≤ 8), each leasing and
+        // releasing scratch + arenas on the caller thread.
+        const bool sharded = round % 2 == 1;
+        for (std::size_t k = 0; sharded && order.size() < big; ++k) {
+          order.push_back(order[k]);
+        }
+        const std::size_t step = sharded ? order.size() : 8;
         for (std::size_t lo = 0; lo < order.size(); lo += step) {
           const std::size_t hi = std::min(lo + step, order.size());
           std::vector<Query> batch;
           batch.reserve(hi - lo);
           for (std::size_t k = lo; k < hi; ++k)
             batch.push_back(all[order[k]]);
-          const QueryResponse resp = session.query(batch, opts);
-          for (std::size_t k = lo; k < hi; ++k) {
-            const api::QueryResult& want = expected[order[k]];
-            const api::QueryResult& got = resp.results[k - lo];
-            if (got.dist != want.dist || got.outcome != want.outcome) {
-              failures[static_cast<std::size_t>(t)] =
-                  "thread " + std::to_string(t) + " round " +
-                  std::to_string(round) + " query " +
-                  std::to_string(order[k]);
-              return;
+          for (const api::Session* s : {&plain, &oracle}) {
+            const QueryResponse resp = s->query(batch);
+            for (std::size_t k = lo; k < hi; ++k) {
+              const api::QueryResult& want = expected[order[k]];
+              const api::QueryResult& got = resp.results[k - lo];
+              if (got.dist != want.dist || got.outcome != want.outcome) {
+                failures[static_cast<std::size_t>(t)] =
+                    "thread " + std::to_string(t) + " round " +
+                    std::to_string(round) + " query " +
+                    std::to_string(order[k]);
+                return;
+              }
             }
           }
         }

@@ -602,9 +602,11 @@ TEST(DualFault, PairSweepCacheIsKeyedOnTheSource) {
       }
     }
   }
-  api::BatchOptions inline_opts;
-  inline_opts.inline_threshold = 1 << 20;
-  const api::QueryResponse resp = session.query(batch, inline_opts);
+  // Every query joins a pair group, so the batch's work is its size; below
+  // api::kShardWork the groups drain on the caller thread through ONE
+  // arena, which must then evict between the two sources.
+  ASSERT_LT(batch.size(), static_cast<std::size_t>(api::kShardWork));
+  const api::QueryResponse resp = session.query(batch);
   EXPECT_EQ(resp.pair_traversals, 2 * static_cast<std::int64_t>(pairs.size()));
   BfsScratch truth;
   for (std::size_t i = 0; i < batch.size(); ++i) {
