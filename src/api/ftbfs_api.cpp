@@ -256,6 +256,36 @@ struct BatchScratch {
   }
 };
 
+/// True iff `b` asks about the same single failure as `a`, from the same
+/// source: it differs at most in its vertex and its what-if permission,
+/// which an in-model failure never reads. Precondition: `a` names a
+/// single failure.
+bool same_single_failure(const Query& a, const Query& b) {
+  return b.fault == a.fault && b.fault2 < 0 && b.kind == a.kind &&
+         b.source_index == a.source_index;
+}
+
+/// The ranges a well-formed query's fields lie in, read once per batch so
+/// that Session::query checks each query without a call.
+struct QueryBounds {
+  Vertex n = 0;
+  std::int32_t m = 0;
+  std::size_t sources = 0;
+
+  bool fault_ok(FaultClass kind, std::int32_t f) const {
+    return f >= 0 && ((kind == FaultClass::kEdge && f < m) ||
+                      (kind == FaultClass::kVertex && f < n));
+  }
+  /// True iff Session::Impl::validate_query accepts q (it throws on the
+  /// rest, naming the bad field).
+  bool accepts(const Query& q) const {
+    return q.v >= 0 && q.v < n && q.source_index >= 0 &&
+           static_cast<std::size_t>(q.source_index) < sources &&
+           fault_ok(q.kind, q.fault) &&
+           (q.fault2 < 0 || fault_ok(q.kind2, q.fault2));
+  }
+};
+
 /// The normalized (unordered) failure pair of a query: elements sorted by
 /// DualSite order, an absent second fault collapsed to {kEdge, -1}. Group
 /// keys and arena cache keys both use exactly this, so a cached traversal
@@ -462,13 +492,40 @@ struct Session::Impl {
                                  traversals);
   }
 
-  /// In-model O(1) answer. Precondition: classified kInModel.
+  /// In-model O(1) answer of a single failure.
+  /// Precondition: classified kInModel or kDegraded.
   std::int32_t in_model_dist(const Query& q) const {
     const auto si = static_cast<std::size_t>(q.source_index);
     if (q.kind == FaultClass::kEdge) {
       return edge_tables[si].replacement_dist(q.v, q.fault);
     }
     return vertex_tables[si].replacement_dist(q.v, q.fault);
+  }
+
+  /// In-model O(1) answers, tagged `outcome`, for a run of queries that
+  /// ask about one single failure from one source (same_single_failure)
+  /// with valid vertices: the failure is resolved once, and each query
+  /// pays for its own vertex only. Precondition: the run's first query is
+  /// validated and classified `outcome`, kInModel or kDegraded.
+  void answer_run(QueryBatch run, QueryOutcome outcome,
+                  QueryResult* out) const {
+    const Query& q = run.front();
+    const auto si = static_cast<std::size_t>(q.source_index);
+    if (q.kind == FaultClass::kEdge) {
+      answer_run(edge_tables[si], run, outcome, out);
+    } else {
+      answer_run(vertex_tables[si], run, outcome, out);
+    }
+  }
+
+  /// answer_run on the table of the run's source and fault kind.
+  template <class Table>
+  static void answer_run(const Table& table, QueryBatch run,
+                         QueryOutcome outcome, QueryResult* out) {
+    const ResolvedFault f = table.resolve(run.front().fault);
+    for (std::size_t k = 0; k < run.size(); ++k) {
+      out[k] = {table.replacement_dist(run[k].v, f), outcome};
+    }
   }
 
   /// Literal BFS on H minus the query's failure (or failure pair) from
@@ -739,18 +796,32 @@ QueryResponse Session::query(QueryBatch batch,
     scp->groups[it->second].members.push_back(static_cast<std::uint32_t>(i));
     ++group_work;
   };
+  const QueryBounds bounds{im.g->num_vertices(),
+                           static_cast<std::int32_t>(im.g->num_edges()),
+                           im.sources.size()};
   std::int64_t n_in_model = 0, n_what_if = 0, n_refused = 0, n_degraded = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Query& q = batch[i];
-    im.validate_query(q);
+    if (!bounds.accepts(q)) im.validate_query(q);  // throws
     const QueryOutcome outcome = im.classify(q);
     resp.results[i].outcome = outcome;
     switch (outcome) {
       case QueryOutcome::kInModel:
-      case QueryOutcome::kDegraded:  // recomputed tables, same serving path
-        outcome == QueryOutcome::kInModel ? ++n_in_model : ++n_degraded;
+      case QueryOutcome::kDegraded: {  // recomputed tables, same serving path
+        std::size_t end = i + 1;
         if (q.fault2 < 0) {
-          resp.results[i].dist = im.in_model_dist(q);
+          // A drill names one failure for a run of vertices: the run
+          // shares q's validation and class and is answered in one pass.
+          while (end < batch.size() && same_single_failure(q, batch[end]) &&
+                 batch[end].v >= 0 && batch[end].v < bounds.n) {
+            ++end;
+          }
+          if (end - i == 1) {  // alone: the direct lookup is cheaper
+            resp.results[i].dist = im.in_model_dist(q);
+          } else {
+            im.answer_run(batch.subspan(i, end - i), outcome,
+                          resp.results.data() + i);
+          }
         } else if (oracle_pairs) {
           bool used_oracle = false;
           im.pair_fast(q, &resp.results[i].dist, &used_oracle);
@@ -758,7 +829,11 @@ QueryResponse Session::query(QueryBatch batch,
         } else {
           group_push(i, q, /*in_model_pair=*/true);
         }
+        (outcome == QueryOutcome::kInModel ? n_in_model : n_degraded) +=
+            static_cast<std::int64_t>(end - i);
+        i = end - 1;
         break;
+      }
       case QueryOutcome::kWhatIf:
         ++n_what_if;
         group_push(i, q, /*in_model_pair=*/false);

@@ -126,6 +126,11 @@ struct EdgeFault {
     (void)f;
     return false;
   }
+  /// The vertex whose subtree's paths π(s,·) contain the fault (its lower
+  /// endpoint), or kInvalidVertex for a non-tree edge.
+  static Vertex path_anchor(const BfsTree& t, FaultId f) {
+    return t.is_tree_edge(f) ? t.lower_endpoint(f) : kInvalidVertex;
+  }
   /// True iff the fault lies on π(s,v) — i.e. v has a stored table row.
   static bool on_path(const BfsTree& t, FaultId f, Vertex v) {
     return t.is_tree_edge(f) && t.on_source_path(f, v);
@@ -195,6 +200,9 @@ struct VertexFault {
     FTB_CHECK_MSG(f != t.source(), "the source never fails");
   }
   static bool hits_terminal(Vertex v, FaultId f) { return v == f; }
+  static Vertex path_anchor(const BfsTree& t, FaultId f) {
+    return t.reachable(f) ? f : kInvalidVertex;
+  }
   static bool on_path(const BfsTree& t, FaultId f, Vertex v) {
     return t.reachable(f) && t.is_ancestor_or_equal(f, v);
   }
@@ -217,6 +225,17 @@ struct VertexFault {
     return kInvalidEdge;
   }
   static Vertex sweep_banned_vertex(FaultId f) { return f; }
+};
+
+/// One fault resolved for ReplacementDistTable::replacement_dist: its
+/// path position and the preorder interval [tin, tout) of the subtree
+/// whose paths π(s,v) contain it (empty when no path does). Queries
+/// naming the same fault resolve it once; each then pays only for its own
+/// vertex's reads.
+struct ResolvedFault {
+  std::int32_t fault = -1;
+  std::int32_t tin = 0, tout = 0;
+  std::int32_t row = 0;  // path position − the model's kFirstPos
 };
 
 /// The S0 distance plane alone: dist(s, v, G \ {fault}) for every vertex
@@ -287,6 +306,37 @@ class ReplacementDistTable {
   ///  * disconnected / fault destroys v itself → kInfHops.
   /// Vertex model only: the source never fails (CheckError).
   std::int32_t replacement_dist(Vertex v, FaultId fault) const;
+  /// The fault's share of replacement_dist(), for many queries on one
+  /// fault; throws like it.
+  ResolvedFault resolve(FaultId fault) const {
+    Model::validate_query(*tree_, fault);
+    ResolvedFault r;
+    r.fault = fault;
+    const Vertex a = Model::path_anchor(*tree_, fault);
+    if (a != kInvalidVertex) {
+      r.tin = tree_->tin(a);
+      r.tout = tree_->tout(a);
+      r.row = Model::fault_pos(*tree_, fault) - Model::kFirstPos;
+    }
+    return r;
+  }
+  /// replacement_dist(v, fault) for the fault resolve(fault) returned.
+  /// Which side of the fault v lies on is selected, not branched on, so
+  /// every v costs the same: a branch there mispredicts on about half the
+  /// vertices of a fault high in the tree, which made a run of queries on
+  /// such a fault cost up to twice as much as a run on a low one.
+  std::int32_t replacement_dist(Vertex v, const ResolvedFault& f) const {
+    if (!tree_->reachable(v)) return kInfHops;
+    if (Model::hits_terminal(v, f.fault)) return kInfHops;
+    // Only a vertex below some fault has rows; with none, none is below.
+    if (rows_.empty()) return tree_->depth(v);
+    const auto vi = static_cast<std::size_t>(v);
+    const bool below = static_cast<std::uint32_t>(tree_->tin(v) - f.tin) <
+                       static_cast<std::uint32_t>(f.tout - f.tin);
+    const std::int32_t stored = rows_[static_cast<std::size_t>(
+        below ? row_offset_[vi] + f.row : 0)];
+    return below ? stored : tree_->depth(v);  // off the path, π(s,v) survives
+  }
 
   /// Stored row: the fault at path position `pos` of π(s,v), which must
   /// lie in [Model::kFirstPos, depth(v)).

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -396,6 +397,94 @@ TEST(ApiSession, AnotherSourceMayFailInModel) {
   EXPECT_EQ(via_session.violations, via_structure.violations);
   EXPECT_EQ(via_session.reachable_queries, via_structure.reachable_queries);
   EXPECT_EQ(via_session.violations, 0);
+}
+
+TEST(ApiSession, InModelRunsMatchSerialTruth) {
+  // Session::query answers a run of single-failure queries that differ
+  // only in their vertex in one pass, off one resolution of the failure.
+  // Each run here names every vertex (below, beside and above the failure,
+  // and the failed vertex itself), and consecutive runs differ in exactly
+  // one of kind, source, fault, second fault and what-if permission: all
+  // but the last must end a run, and the last must not change an answer.
+  const Graph g = gen::random_connected(40, 90, 17);
+  for (const FaultClass model :
+       {FaultClass::kEither, FaultClass::kEdge, FaultClass::kDual}) {
+    api::BuildSpec spec;
+    spec.fault_model = model;
+    spec.sources = {0, 21};
+    spec.eps = 0.3;  // the edge session reinforces edges: what-if runs
+    const api::Session session = api::Session::open(g, spec);
+    std::vector<Query> batch;
+    const auto push_run = [&](FaultClass kind, std::int32_t fault,
+                              std::int32_t si, bool what_if,
+                              std::int32_t fault2 = -1) {
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        Query q;
+        q.v = v;
+        q.kind = kind;
+        q.fault = fault;
+        q.fault2 = fault2;
+        q.source_index = si;
+        q.allow_what_if = what_if;
+        batch.push_back(q);
+      }
+    };
+    for (std::int32_t f = 0; f < g.num_vertices(); ++f) {
+      push_run(FaultClass::kEdge, f, 0, false);
+      push_run(FaultClass::kEdge, f, 0, true);     // what-if permission
+      push_run(FaultClass::kVertex, f, 0, true);   // kind
+      push_run(FaultClass::kVertex, f, 1, true);   // source
+      push_run(FaultClass::kEdge, f, 1, true);     // kind
+      push_run(FaultClass::kEdge, f + 1, 1, true);  // fault
+      push_run(FaultClass::kEdge, f + 1, 1, true, f + 7);  // second fault
+    }
+    const std::string tag = model == FaultClass::kEither ? "either"
+                            : model == FaultClass::kEdge ? "edge"
+                                                         : "dual";
+    const QueryResponse resp = session.query(batch);
+    std::int64_t in_model = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const api::QueryResult want = session.query_one(batch[i]);
+      ASSERT_EQ(resp.results[i].outcome, want.outcome) << tag << " i=" << i;
+      ASSERT_EQ(resp.results[i].dist, want.dist) << tag << " i=" << i;
+      if (want.outcome != QueryOutcome::kInModel) continue;
+      ++in_model;
+      if (batch[i].fault2 < 0) {
+        ASSERT_EQ(want.dist, serial_truth(session, batch[i]))
+            << tag << " i=" << i;
+      }
+    }
+    EXPECT_EQ(resp.in_model, in_model) << tag;
+    EXPECT_GT(in_model, 0) << tag;
+    EXPECT_EQ(resp.in_model + resp.what_if + resp.refused,
+              static_cast<std::int64_t>(batch.size()))
+        << tag;
+
+    // A malformed query throws from a batch as from query_one, inside a
+    // run or not: each field out of range in turn.
+    const auto n = g.num_vertices();
+    const auto m = static_cast<std::int32_t>(g.num_edges());
+    const std::vector<std::function<void(Query&)>> breaks = {
+        [](Query& q) { q.v = -1; },
+        [&](Query& q) { q.v = n; },
+        [](Query& q) { q.source_index = -1; },
+        [](Query& q) { q.source_index = 2; },
+        [](Query& q) { q.fault = -1; },
+        [&](Query& q) { q.fault = m; },
+        [&](Query& q) { q.kind = FaultClass::kVertex; q.fault = n; },
+        [](Query& q) { q.kind = FaultClass::kDual; },
+        [&](Query& q) { q.fault2 = m; },
+        [](Query& q) { q.kind2 = FaultClass::kDual; q.fault2 = 0; },
+    };
+    for (std::size_t k = 0; k < breaks.size(); ++k) {
+      std::vector<Query> bad(batch.begin(), batch.begin() + 8);
+      breaks[k](bad[5]);
+      EXPECT_THROW(session.query_one(bad[5]), CheckError) << tag << " k=" << k;
+      EXPECT_THROW(session.query(bad), CheckError) << tag << " k=" << k;
+      EXPECT_THROW(session.query({&bad[5], 1}), CheckError)
+          << tag << " k=" << k;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
