@@ -31,7 +31,6 @@
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/replacement.hpp"
-#include "src/core/structure_oracle.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/bfs_kernel.hpp"
 #include "src/graph/canonical_bfs.hpp"
@@ -151,12 +150,12 @@ double time_engine(const BfsTree& tree, bool reference,
   return sec;
 }
 
-// ---- batched query plane vs the serial oracle ------------------------------
+// ---- batched query plane vs a serial server --------------------------------
 
-/// Measures the api::Session batched query plane against the serial
-/// single-scratch serving path (StructureOracle::query_unchecked plus the
-/// same one-slot BFS cache for vertex what-ifs), on the structure the
-/// speedup report just built. Two workloads:
+/// Measures the api::Session batched query plane against a serial server
+/// (ReplacementDistTable lookups in-model, a one-slot cached literal BFS in
+/// H \ {fault} for what-ifs), on the structure the speedup report just
+/// built. Two workloads:
 ///   * in-model sweep — every (tree edge, vertex) pair, fault-major: both
 ///     sides are O(1) lookups, so the ratio isolates batching overhead and
 ///     thread scaling;
@@ -171,14 +170,11 @@ bool run_query_plane_report(const Graph& g, const FtBfsStructure& h,
   const Vertex n = g.num_vertices();
   constexpr std::size_t kThreads = 8;
 
-  // The legacy serial serving stack.
+  // The serial server's in-model plane: the replacement-distance table.
   const EdgeWeights w =
       EdgeWeights::uniform_random(g, EpsilonOptions{}.weight_seed);
   const BfsTree tree(g, w, 0);
-  ReplacementPathEngine::Config ecfg;
-  ecfg.collect_detours = false;
-  const ReplacementPathEngine engine(tree, ecfg);
-  const StructureOracle oracle(h, engine);
+  const ReplacementDistTable<EdgeFault> table(tree);
 
   // The batched plane on its own 8-worker pool (the acceptance target).
   ThreadPool pool(kThreads);
@@ -205,7 +201,7 @@ bool run_query_plane_report(const Graph& g, const FtBfsStructure& h,
   Timer t;
   std::int64_t serial_sum = 0;
   for (const api::Query& q : sweep) {
-    serial_sum += oracle.query_unchecked(q.v, q.fault);
+    serial_sum += table.replacement_dist(q.v, q.fault);
   }
   const double sweep_serial_s = t.seconds();
   t.restart();
@@ -216,7 +212,7 @@ bool run_query_plane_report(const Graph& g, const FtBfsStructure& h,
   if (batched_sum != serial_sum) {
     agree = false;
     std::cout << "!!! query plane: in-model sweep disagrees with the serial "
-                 "oracle\n";
+                 "table\n";
   }
 
   // Workload 2: interleaved what-if storm — all reinforced edges (if any)
@@ -241,18 +237,23 @@ bool run_query_plane_report(const Graph& g, const FtBfsStructure& h,
     }
   }
 
-  // Serial baseline: query_unchecked for edge faults (the oracle's own
-  // one-slot cache) and the equivalent one-slot-cached literal BFS for
-  // router faults — exactly what a serial server could do per query.
+  // Serial baseline: a one-slot-cached literal BFS in H \ {fault}, one
+  // slot for reinforced edges and one for router faults — exactly what a
+  // serial server could do per query.
   t.restart();
   std::int64_t storm_serial_sum = 0;
   {
-    BfsScratch scratch;
+    BfsScratch edge_scratch, vertex_scratch;
     std::vector<std::uint8_t> mask(static_cast<std::size_t>(n), 0);
+    EdgeId cached_edge = kInvalidEdge;
     Vertex cached = kInvalidVertex;
     for (const api::Query& q : storm) {
       if (q.kind == FaultClass::kEdge) {
-        storm_serial_sum += oracle.query_unchecked(q.v, q.fault);
+        if (q.fault != cached_edge) {
+          h.distances_avoiding(q.fault, edge_scratch);
+          cached_edge = q.fault;
+        }
+        storm_serial_sum += edge_scratch.dist(q.v);
         continue;
       }
       if (q.fault != cached) {
@@ -263,10 +264,10 @@ bool run_query_plane_report(const Graph& g, const FtBfsStructure& h,
         BfsBans bans;
         bans.banned_vertex = &mask;
         bans.banned_edge_mask = &h.complement_mask();
-        bfs_run(g, 0, bans, scratch);
+        bfs_run(g, 0, bans, vertex_scratch);
         cached = q.fault;
       }
-      storm_serial_sum += q.v == q.fault ? kInfHops : scratch.dist(q.v);
+      storm_serial_sum += q.v == q.fault ? kInfHops : vertex_scratch.dist(q.v);
     }
   }
   const double storm_serial_s = t.seconds();
@@ -285,7 +286,7 @@ bool run_query_plane_report(const Graph& g, const FtBfsStructure& h,
 
   const double sweep_speedup = sweep_serial_s / sweep_batched_s;
   const double storm_speedup = storm_serial_s / storm_batched_s;
-  Table tb("query plane: batched Session vs serial oracle (threads=" +
+  Table tb("query plane: batched Session vs serial server (threads=" +
            std::to_string(kThreads) + ")");
   tb.columns({"workload", "queries", "serial_s", "batched_s", "speedup"});
   tb.row("in_model_sweep", static_cast<long long>(sweep.size()),
@@ -1595,7 +1596,7 @@ bool run_speedup_report() {
       .set("s2_s", full_opt.stats.seconds_s2)
       .set("interference_s", full_opt.stats.seconds_interference);
 
-  // The serving-side measurement: batched Session vs the serial oracle.
+  // The serving-side measurement: batched Session vs a serial server.
   bench::JsonObject query_plane;
   double query_speedup = 0;
   const bool plane_agrees =

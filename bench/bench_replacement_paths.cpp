@@ -11,7 +11,7 @@
 #include "bench/bench_util.hpp"
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/interference.hpp"
-#include "src/core/oracle.hpp"
+#include "src/core/replacement.hpp"
 #include "src/graph/bfs_kernel.hpp"
 #include "src/graph/lca.hpp"
 
@@ -148,7 +148,6 @@ void BM_OracleQueries(benchmark::State& state) {
   const EdgeWeights w = EdgeWeights::uniform_random(g, 13);
   const BfsTree tree(g, w, 0);
   const ReplacementPathEngine engine(tree);
-  const ReplacementOracle oracle(engine);
   std::uint64_t x = 0;
   Rng rng(17);
   std::vector<std::pair<Vertex, EdgeId>> queries;
@@ -160,7 +159,7 @@ void BM_OracleQueries(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (const auto& [v, e] : queries) {
-      x += static_cast<std::uint64_t>(oracle.distance(v, e));
+      x += static_cast<std::uint64_t>(engine.replacement_dist(v, e));
     }
     benchmark::DoNotOptimize(x);
   }

@@ -28,12 +28,13 @@
 //     batched, THREAD-SAFE query plane. `query(QueryBatch)` classifies
 //     every query as an in-model O(1) contract hit, an out-of-model
 //     what-if (answered by a literal BFS on H \ {fault}), or refused; it
-//     shards in-model lookups across the thread pool and groups what-if
-//     queries by fault so each distinct failure costs ONE traversal per
-//     batch — the mutable-under-const single-scratch oracle is replaced by
-//     a pool of per-worker scratch arenas, so any number of threads can
-//     call query() on one Session concurrently (enforced by the TSan CI
-//     job over the concurrency-tagged tests).
+//     writes every O(1) in-model answer on the caller thread and groups
+//     what-if queries by fault so each distinct failure costs ONE
+//     traversal per batch; only traversal groups whose work reaches
+//     kShardWork shard across the thread pool. Every traversal runs on a
+//     pooled scratch arena, so any number of threads can call query() on
+//     one Session concurrently (enforced by the TSan CI job over the
+//     concurrency-tagged tests).
 //
 // build() is the one production build path. The differential referees
 // (reference kernels, scalar σ-lanes, the unpruned dual recursion) are test
@@ -318,8 +319,7 @@ struct FsckReport {
 ///
 /// Thread safety: all members are immutable after construction and query()
 /// works exclusively on pooled scratch arenas, so concurrent query() /
-/// query_one() calls from any number of threads are safe — this replaces
-/// the "NOT thread-safe" single-scratch FaultStructureOracle as the
+/// query_one() calls from any number of threads are safe. It is the one
 /// serving path. Copying a Session is a cheap shared handle.
 class Session {
  public:
@@ -341,11 +341,9 @@ class Session {
   /// instead of refusing the load; see fsck().
   static Session load(const Graph& g, const std::string& path,
                       const Config& cfg = {});
-  /// Saves the structure (+ source set when multi-source) via structure_io.
-  void save(const std::string& path) const;
-  /// Saves the checksummed structure_io v5 framing of the same artifact
-  /// (per-section lengths + CRC-32C, so storage corruption is caught at
-  /// load time). load() reads either form.
+  /// Saves the checksummed structure_io v5 text artifact: structure,
+  /// source set, dual pair tables and site-dist section, each with its
+  /// length + CRC-32C so storage corruption is caught at load time.
   void save_v5(const std::string& path) const;
   /// Saves the binary, mmap-able structure_io v6 container of the same
   /// artifact (binary_io.hpp: sectioned directory + per-section CRC-32C,
@@ -354,10 +352,12 @@ class Session {
   /// an mmap. load() auto-detects it by magic.
   void save_v6(const std::string& path) const;
 
-  /// Answers a batch: in-model single-fault lookups shard across the
-  /// thread pool; what-if queries and in-model dual-failure pairs are
-  /// grouped by (source, fault[, fault2]) — unordered in the pair — so
-  /// each distinct failure (or failure pair) costs at most one traversal.
+  /// Answers a batch: in-model single-fault lookups are O(1) and written
+  /// on the caller thread; what-if queries and in-model dual-failure pairs
+  /// are grouped by (source, fault[, fault2]) — unordered in the pair — so
+  /// each distinct failure (or failure pair) costs at most one traversal,
+  /// and the groups shard across the pool only when their work reaches
+  /// kShardWork.
   /// Throws CheckError on malformed queries (out-of-range vertex / fault /
   /// fault2 / source_index); model-level refusals are reported per query
   /// as kRefused, never thrown.

@@ -4,12 +4,12 @@
 // plan (which links to buy as backup, which to reinforce, and which
 // failure model the plan insures against), and reloads it later against
 // the same network. The byte-level grammar of every version (v1…v5) is
-// specified normatively in docs/file_formats.md; the shape at a glance
-// (text, '#' comments):
+// specified normatively in docs/file_formats.md. The read-only
+// line-framed versions v1–v4 at a glance (text, '#' comments):
 //
 //   ftbfs-structure 4
 //   fault-model <edge|vertex|either|dual>
-//   sources <k> <s_0> ... <s_{k-1}>   # v3: multi-source only; v4: always
+//   sources <k> <s_0> ... <s_{k-1}>   # v3 and v4 only
 //   <n> <|E(H)|> <source>
 //   <u> <v> <flags>        # one line per structure edge;
 //                          # flags bit 0 = reinforced, bit 1 = tree edge
@@ -39,12 +39,11 @@
 // adds the checksummed framing. The tag "dual" in v2/v3 artifacts denotes
 // what is now called the "either" union (one failure of either kind) and
 // loads as FaultClass::kEither; only v4+ artifacts mean two simultaneous
-// failures by it. Single-source non-dual artifacts still write v2
-// byte-stably, multi-source ones v3, dual ones v4, so files produced by
-// earlier releases round-trip unchanged; v5 is written explicitly via
-// write_structure_v5 / save_structure_v5. Loading validates against the
-// given graph (endpoints must exist as edges) and reconstructs the exact
-// edge partition + fault tag + source set (+ pair tables for v4/v5).
+// failures by it. The text writer emits v5 only (the binary v6 container
+// lives in binary_io.hpp); v1–v4 stay readable, so files produced by
+// earlier releases keep loading. Loading validates against the given graph
+// (endpoints must exist as edges) and reconstructs the exact edge
+// partition + fault tag + source set (+ pair tables for v4/v5).
 //
 // Zero-trust contract (all versions): every count and length field read
 // from the artifact is bounds-checked against the graph before it sizes an
@@ -64,33 +63,13 @@
 
 namespace ftb::io {
 
-void write_structure(const FtBfsStructure& h, std::ostream& os);
-void save_structure(const FtBfsStructure& h, const std::string& path);
-
-/// Multi-source variant (what api::Session::save uses): `sources` is the
-/// FT-MBFS source set, sources.front() == h.source(). A single-source set
-/// writes the plain v2 artifact; several sources write v3 with a sources
-/// line; a dual-failure structure always writes v4.
-void write_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                     std::ostream& os);
-void save_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                    const std::string& path);
-
-/// Dual-failure variant: also serializes the per-source pair tables
-/// (aligned with `sources`; pass empty to write a v4 artifact whose tables
-/// the loader will have to rebuild). Non-dual structures ignore
-/// `pair_tables` and fall back to the v2/v3 forms above.
-void write_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                     std::span<const DualSiteTable> pair_tables,
-                     std::ostream& os);
-void save_structure(const FtBfsStructure& h, std::span<const Vertex> sources,
-                    std::span<const DualSiteTable> pair_tables,
-                    const std::string& path);
-
-/// The checksummed v5 framing: same content as the v2–v4 forms, wrapped in
+/// The checksummed v5 framing: the structure's sections wrapped in
 /// `section <name> <bytes> <crc32c>` frames (meta + edges, plus
-/// pair-tables for dual structures with non-empty tables). Deterministic:
-/// the same structure always produces the same bytes.
+/// pair-tables for dual structures with non-empty tables). `sources` is
+/// the FT-MBFS source set, sources.front() == h.source(); pass empty
+/// `pair_tables` to write a dual artifact whose tables the loader will
+/// have to rebuild. Deterministic: the same structure always produces the
+/// same bytes.
 void write_structure_v5(const FtBfsStructure& h,
                         std::span<const Vertex> sources,
                         std::span<const DualSiteTable> pair_tables,

@@ -3,9 +3,9 @@
 // Three claims under test:
 //   1. classification — every query lands in the documented outcome cell
 //      (in-model O(1) hit / what-if BFS / refused);
-//   2. answers — bit-identical to the serial ground truth: the legacy
-//      FaultStructureOracle for in-model + reinforced what-ifs, literal
-//      BFS for everything else;
+//   2. answers — bit-identical to the serial ground truth: the
+//      replacement-distance tables for in-model faults, literal BFS in
+//      H \ {fault} for reinforced what-ifs and everything else;
 //   3. thread safety — many threads hammering one Session with mixed
 //      batches get exactly the serial answers (this test carries the
 //      `concurrency` ctest label and runs under the TSan CI job).
@@ -22,7 +22,6 @@
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/replacement.hpp"
-#include "src/core/structure_oracle.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/sim/failure_sim.hpp"
 #include "src/graph/bfs_tree.hpp"
@@ -39,8 +38,8 @@ using api::Query;
 using api::QueryOutcome;
 using api::QueryResponse;
 
-/// Serial ground truth for any query the session can answer, via the
-/// legacy single-scratch machinery (engine tables + literal BFS).
+/// Serial ground truth for any query the session can answer: one literal
+/// BFS in H \ {fault}.
 std::int32_t serial_truth(const api::Session& session, const Query& q) {
   const Graph& g = session.graph();
   const FtBfsStructure& h = session.structure();
@@ -76,8 +75,7 @@ TEST(ApiSession, InModelAnswersMatchLegacyOracle) {
 
   const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
   const BfsTree tree(g, w, 0);
-  const ReplacementPathEngine engine(tree);
-  const StructureOracle oracle(h, engine);
+  const ReplacementDistTable<EdgeFault> table(tree);
 
   std::vector<Query> batch;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -91,14 +89,24 @@ TEST(ApiSession, InModelAnswersMatchLegacyOracle) {
   }
   const QueryResponse resp = session.query(batch);
   ASSERT_EQ(resp.results.size(), batch.size());
+  // Serial answers for both cells: the O(1) table in-model, a literal BFS
+  // in H \ {e} (one per reinforced edge; the batch is fault-major) for the
+  // reinforced what-ifs.
+  EdgeId bfs_fault = kInvalidEdge;
+  std::vector<std::int32_t> bfs;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Query& q = batch[i];
     const bool reinforced = h.is_reinforced(q.fault);
     EXPECT_EQ(resp.results[i].outcome, reinforced ? QueryOutcome::kWhatIf
                                                   : QueryOutcome::kInModel);
-    // query_unchecked answers both cells serially: O(1) in-model, cached
-    // literal BFS for reinforced what-ifs.
-    EXPECT_EQ(resp.results[i].dist, oracle.query_unchecked(q.v, q.fault))
+    if (reinforced && bfs_fault != q.fault) {
+      bfs = h.distances_avoiding(q.fault);
+      bfs_fault = q.fault;
+    }
+    const std::int32_t truth = reinforced
+                                   ? bfs[static_cast<std::size_t>(q.v)]
+                                   : table.replacement_dist(q.v, q.fault);
+    EXPECT_EQ(resp.results[i].dist, truth)
         << "v=" << q.v << " e=" << q.fault;
   }
   EXPECT_EQ(resp.in_model + resp.what_if, static_cast<std::int64_t>(
@@ -164,8 +172,7 @@ TEST(ApiSession, VertexSessionMatchesVertexOracle) {
 
   const EdgeWeights w = EdgeWeights::uniform_random(g, spec.weight_seed);
   const BfsTree tree(g, w, 0);
-  const VertexReplacementEngine engine(tree);
-  const VertexStructureOracle oracle(session.structure(), engine);
+  const ReplacementDistTable<VertexFault> table(tree);
 
   std::vector<Query> batch;
   for (Vertex x = 1; x < g.num_vertices(); ++x) {
@@ -181,7 +188,7 @@ TEST(ApiSession, VertexSessionMatchesVertexOracle) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ASSERT_EQ(resp.results[i].outcome, QueryOutcome::kInModel);
     EXPECT_EQ(resp.results[i].dist,
-              oracle.query(batch[i].v, batch[i].fault))
+              table.replacement_dist(batch[i].v, batch[i].fault))
         << "v=" << batch[i].v << " x=" << batch[i].fault;
   }
 }

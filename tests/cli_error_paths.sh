@@ -12,10 +12,12 @@
 # malformed --sources (including the trailing-garbage form "5x" that a
 # lenient strtoll would silently truncate), bad --graph-format, a missing
 # graph file, --eps on a non-edge pipeline, --site-dist on a non-dual
-# pipeline or without v5/v6 persistence, flags the subcommand does not read (a typo, the removed
-# --dual-dfs-schedule), and structure upgrade / verify on a truncated
-# v5/v6 artifact. Flags come from argv only: an FTBFS_* environment
-# variable must not change a build.
+# pipeline, flags the subcommand does not read (a typo, the removed
+# --dual-dfs-schedule and --v5), and structure upgrade / verify on a
+# truncated v5/v6 artifact. Flags come from argv only: an FTBFS_*
+# environment variable must not change a build. build --out writes the
+# checksummed v5 text artifact by default; the script checks its header
+# and that fsck passes it clean.
 set -u
 
 CLI="$1"
@@ -79,8 +81,27 @@ GRAPH="$TMP/g.edges"
   >/dev/null 2>&1 || { echo "FAIL(setup): generate"; exit 1; }
 
 ART="$TMP/h.ftbfs"
-"$CLI" build --graph="$GRAPH" --fault-model=dual --v5 --out="$ART" \
-  >/dev/null 2>&1 || { echo "FAIL(setup): build v5"; exit 1; }
+"$CLI" build --graph="$GRAPH" --fault-model=dual --out="$ART" \
+  >/dev/null 2>&1 || { echo "FAIL(setup): build"; exit 1; }
+
+# The default build --out artifact is v5 text and fsck passes it clean
+# (exit 0); with --site-dist it also carries the site-dist section.
+SD="$TMP/sd.ftbfs"
+"$CLI" build --graph="$GRAPH" --fault-model=dual --site-dist --out="$SD" \
+  >/dev/null 2>&1 || { echo "FAIL(setup): build --site-dist"; exit 1; }
+if [ "$(head -n 1 "$ART")" != "ftbfs-structure 5" ] ||
+   [ "$(head -n 1 "$SD")" != "ftbfs-structure 5" ] ||
+   ! grep -q '^section site-dist ' "$SD"; then
+  echo "FAIL(default_out_is_v5): headers '$(head -n 1 "$ART")'," \
+    "'$(head -n 1 "$SD")'"
+  fails=$((fails + 1))
+elif ! "$CLI" fsck --graph="$GRAPH" --structure="$ART" >/dev/null 2>&1 ||
+     ! "$CLI" fsck --graph="$GRAPH" --structure="$SD" >/dev/null 2>&1; then
+  echo "FAIL(default_out_is_v5): fsck did not pass the artifacts clean"
+  fails=$((fails + 1))
+else
+  echo "ok(default_out_is_v5): v5 header, site-dist section, fsck clean"
+fi
 
 # Argument-layer refusals.
 expect_fail no_command "$CLI"
@@ -97,9 +118,6 @@ expect_fail missing_graph_file \
   "$CLI" info --graph="$TMP/nope.edges"
 expect_fail eps_on_dual \
   "$CLI" build --graph="$GRAPH" --fault-model=dual --eps=0.25
-expect_fail site_dist_without_v5 \
-  "$CLI" build --graph="$GRAPH" --fault-model=dual --site-dist \
-  --out="$TMP/x.ftbfs"
 # --site-dist on a model without pair tables: BuildSpec::validate refuses
 # it (exit 1, the spec field named on stderr) instead of dropping it.
 "$CLI" build --graph="$GRAPH" --fault-model=edge --site-dist \
@@ -117,6 +135,8 @@ expect_unknown_flag typo_flag --espilon \
   "$CLI" build --graph="$GRAPH" --espilon=0.9
 expect_unknown_flag removed_dual_dfs_schedule_flag --dual-dfs-schedule \
   "$CLI" build --graph="$GRAPH" --fault-model=dual --dual-dfs-schedule=off
+expect_unknown_flag removed_v5_flag --v5 \
+  "$CLI" build --graph="$GRAPH" --v5 --out="$TMP/x.ftbfs"
 
 # The environment is not an option source: under FTBFS_EPS the build must
 # still run at the default ε and write the default-ε artifact byte for byte.

@@ -28,6 +28,7 @@
 #include "src/graph/generators.hpp"
 #include "src/io/structure_io.hpp"
 #include "src/sim/failure_sim.hpp"
+#include "tests/legacy_artifact.hpp"
 #include "tests/property_test_util.hpp"
 #include "tests/test_util.hpp"
 
@@ -625,14 +626,14 @@ TEST(DualFault, SavedSessionReloadsAndServesIdentically) {
   const api::Session original = api::Session::open(g, spec);
 
   const std::string path = ::testing::TempDir() + "/dual_session.ftbfs";
-  original.save(path);
+  original.save_v5(path);
 
-  // The artifact is a v4 file with its pair tables.
+  // The artifact is a v5 file with its pair tables.
   {
     std::ifstream f(path);
     std::string first;
     std::getline(f, first);
-    EXPECT_EQ(first, "ftbfs-structure 4");
+    EXPECT_EQ(first, "ftbfs-structure 5");
     std::stringstream rest;
     rest << f.rdbuf();
     EXPECT_NE(rest.str().find("fault-model dual"), std::string::npos);
@@ -679,15 +680,16 @@ TEST(DualFault, ArtifactWithoutTablesIsRebuiltOnLoad) {
   spec.fault_model = FaultClass::kDual;
   const api::Session original = api::Session::open(g, spec);
 
-  // A v4 artifact written WITHOUT pair tables (pair-tables 0) still loads;
+  // A legacy v4 artifact WITHOUT pair tables (pair-tables 0) still loads;
   // the session rebuilds the tables deterministically from the weight seed.
   std::ostringstream os;
-  io::write_structure(original.structure(), original.sources(), {}, os);
-  EXPECT_NE(os.str().find("pair-tables 0"), std::string::npos);
+  io::write_structure_v5(original.structure(), original.sources(), {}, os);
+  const std::string v4 = test::legacy_from_v5(os.str(), 4);
+  EXPECT_NE(v4.find("pair-tables 0"), std::string::npos);
   const std::string path = ::testing::TempDir() + "/dual_no_tables.ftbfs";
   {
     std::ofstream f(path);
-    f << os.str();
+    f << v4;
   }
   const api::Session reloaded = api::Session::load(g, path);
   std::remove(path.c_str());
@@ -1050,7 +1052,7 @@ TEST(DualFault, WrongWeightSeedIsRefusedAtLoad) {
   spec.weight_seed = 1234;
   const api::Session session = api::Session::open(g, spec);
   const std::string path = ::testing::TempDir() + "/dual_seed.ftbfs";
-  session.save(path);
+  session.save_v5(path);
   api::SessionConfig cfg;
   cfg.weight_seed = 1235;
   EXPECT_THROW(api::Session::load(g, path, cfg), CheckError);

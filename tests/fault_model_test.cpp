@@ -14,8 +14,8 @@
 //     stands on;
 //   * a standalone ReplacementDistTable answers every (v, fault) exactly
 //     like the full engine and brute-force BFS, under every table knob;
-//   * vertex-fault StructureOracle queries agree with literal BFS on
-//     G \ {x} exhaustively at small n.
+//   * vertex-fault engine answers agree with literal BFS on the deployed
+//     H \ {x} and on G \ {x} exhaustively at small n.
 // Failing property cases print their one-command reproduction via
 // FTB_PROPERTY_TRACE.
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@
 #include "src/core/dist_sweep.hpp"
 #include "src/core/dual_fault.hpp"
 #include "src/core/ftbfs.hpp"
-#include "src/core/structure_oracle.hpp"
 #include "src/core/vertex_ftbfs.hpp"
 #include "tests/property_test_util.hpp"
 #include "tests/test_util.hpp"
@@ -356,23 +355,24 @@ TEST(VertexStructureOracleTest, MatchesLiteralBfsExhaustively) {
         EdgeWeights::uniform_random(fc.graph, opts.weight_seed);
     const BfsTree tree(fc.graph, w, fc.source);
     const VertexReplacementEngine engine(tree);
-    const VertexStructureOracle oracle(h, engine);
     const std::size_t n = static_cast<std::size_t>(fc.graph.num_vertices());
     for (Vertex x = 0; x < fc.graph.num_vertices(); ++x) {
       if (x == fc.source) continue;
-      // Literal BFS in H \ {x} — the deployed artifact, not G.
+      // Literal BFS in H \ {x} — the deployed artifact — and in G \ {x}.
       std::vector<std::uint8_t> banned(n, 0);
       banned[static_cast<std::size_t>(x)] = 1;
       BfsBans bans;
       bans.banned_vertex = &banned;
+      const BfsResult in_g = plain_bfs(fc.graph, fc.source, bans);
       bans.banned_edge_mask = &h.complement_mask();
       const BfsResult brute = plain_bfs(fc.graph, fc.source, bans);
       for (Vertex v = 0; v < fc.graph.num_vertices(); ++v) {
         if (v == x) continue;
-        ASSERT_EQ(oracle.query(v, x),
+        ASSERT_EQ(engine.replacement_dist(v, x),
                   brute.dist[static_cast<std::size_t>(v)])
             << " v=" << v << " x=" << x;
-        ASSERT_EQ(oracle.query_unchecked(v, x), oracle.query(v, x));
+        ASSERT_EQ(engine.replacement_dist(v, x),
+                  in_g.dist[static_cast<std::size_t>(v)]);
       }
     }
   }
@@ -385,8 +385,8 @@ TEST(VertexStructureOracleTest, SourceFailureRefused) {
   const EdgeWeights w = EdgeWeights::uniform_random(g, opts.weight_seed);
   const BfsTree tree(g, w, 0);
   const VertexReplacementEngine engine(tree);
-  const VertexStructureOracle oracle(h, engine);
-  EXPECT_THROW(oracle.query(3, 0), CheckError);
+  ASSERT_EQ(h.source(), tree.source());
+  EXPECT_THROW(engine.replacement_dist(3, 0), CheckError);
 }
 
 TEST(VertexOracleTest, PathQueriesAreValidReplacementPaths) {
@@ -395,9 +395,8 @@ TEST(VertexOracleTest, PathQueriesAreValidReplacementPaths) {
     const EdgeWeights w = EdgeWeights::uniform_random(fc.graph, 44);
     const BfsTree tree(fc.graph, w, fc.source);
     const VertexReplacementEngine engine(tree);  // detours collected
-    const VertexReplacementOracle oracle(engine);
     for (const VertexFaultPair& p : engine.uncovered_pairs()) {
-      const std::vector<Vertex> path = oracle.path(p.v, p.x);
+      const std::vector<Vertex> path = engine.replacement_path(p.v, p.x);
       ASSERT_EQ(path.front(), fc.source);
       ASSERT_EQ(path.back(), p.v);
       ASSERT_EQ(static_cast<std::int32_t>(path.size()) - 1, p.rep_dist);

@@ -11,7 +11,7 @@
 #include "src/core/epsilon_ftbfs.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/optimizer.hpp"
-#include "src/core/structure_oracle.hpp"
+#include "src/core/fault_model.hpp"
 #include "src/core/verifier.hpp"
 #include "src/graph/connectivity.hpp"
 #include "src/graph/generators.hpp"
@@ -38,7 +38,8 @@ TEST(Integration, FullDeploymentPipeline) {
 
   // 3. ship the structure
   std::stringstream struct_wire;
-  io::write_structure(designed.structure, struct_wire);
+  const Vertex anchor[] = {designed.structure.source()};
+  io::write_structure_v5(designed.structure, anchor, {}, struct_wire);
   const FtBfsStructure deployed = io::read_structure(g, struct_wire);
 
   // 4. verify + drill the deployed artifact
@@ -58,8 +59,8 @@ TEST(Integration, OracleAgreesWithDeployedStructure) {
 
   const EdgeWeights w = EdgeWeights::uniform_random(g, seed);
   const BfsTree tree(g, w, 0);
-  const ReplacementPathEngine engine(tree);
-  const StructureOracle oracle(res.structure, engine);
+  // The served in-model answer: the replacement-distance table of G.
+  const ReplacementDistTable<EdgeFault> table(tree);
 
   Rng rng(11);
   for (int i = 0; i < 60; ++i) {
@@ -69,7 +70,7 @@ TEST(Integration, OracleAgreesWithDeployedStructure) {
     const auto bfs = res.structure.distances_avoiding(e);
     const Vertex v = static_cast<Vertex>(
         rng.next_below(static_cast<std::uint64_t>(g.num_vertices())));
-    ASSERT_EQ(oracle.query(v, e), bfs[static_cast<std::size_t>(v)]);
+    ASSERT_EQ(table.replacement_dist(v, e), bfs[static_cast<std::size_t>(v)]);
   }
 }
 
@@ -78,7 +79,8 @@ TEST(Integration, FrontierDesignsRoundTripAndVerify) {
   const GreedyFrontier frontier(g, 0);
   const FtBfsStructure budget_design = frontier.design_max_reinforced(10);
   std::stringstream wire;
-  io::write_structure(budget_design, wire);
+  const Vertex anchor[] = {budget_design.source()};
+  io::write_structure_v5(budget_design, anchor, {}, wire);
   const FtBfsStructure back = io::read_structure(g, wire);
   EXPECT_EQ(back.num_reinforced(), budget_design.num_reinforced());
   EXPECT_TRUE(verify_structure(back).ok);
@@ -117,7 +119,7 @@ TEST(Integration, MultiSourceDeploymentStormAcrossSigma) {
 
     const std::string path = ::testing::TempDir() + "/ms_storm_" +
                              std::to_string(sigma) + ".ftbfs";
-    built.save(path);
+    built.save_v5(path);
     const api::Session session = api::Session::load(g, path);
     std::remove(path.c_str());
 

@@ -1,7 +1,9 @@
-// oracle_test.cpp — O(1) replacement-distance queries vs. literal BFS.
+// oracle_test.cpp — the engine's O(1) replacement-distance queries and
+// replacement paths vs. literal BFS, in G and in a deployed structure H.
 #include <gtest/gtest.h>
 
-#include "src/core/oracle.hpp"
+#include "src/core/epsilon_ftbfs.hpp"
+#include "src/core/replacement.hpp"
 #include "src/graph/canonical_bfs.hpp"
 #include "tests/test_util.hpp"
 
@@ -14,15 +16,13 @@ struct OracleFixture {
   EdgeWeights w;
   BfsTree tree;
   ReplacementPathEngine engine;
-  ReplacementOracle oracle;
 
   explicit OracleFixture(test::FamilyCase fc)
       : g(std::move(fc.graph)),
         source(fc.source),
         w(EdgeWeights::uniform_random(g, 13)),
         tree(g, w, source),
-        engine(tree),
-        oracle(engine) {}
+        engine(tree) {}
 };
 
 TEST(Oracle, DistancesMatchBfsForEveryEdgeFailure) {
@@ -34,7 +34,7 @@ TEST(Oracle, DistancesMatchBfsForEveryEdgeFailure) {
       bans.banned_edge = e;
       const BfsResult brute = plain_bfs(fx.g, fx.source, bans);
       for (Vertex v = 0; v < fx.g.num_vertices(); ++v) {
-        ASSERT_EQ(fx.oracle.distance(v, e),
+        ASSERT_EQ(fx.engine.replacement_dist(v, e),
                   brute.dist[static_cast<std::size_t>(v)])
             << name << " v=" << v << " e=" << e;
       }
@@ -46,7 +46,7 @@ TEST(Oracle, NoFailureDistance) {
   OracleFixture fx({"gnm", gen::gnm(30, 110, 3), 0});
   const BfsResult r = plain_bfs(fx.g, 0);
   for (Vertex v = 0; v < fx.g.num_vertices(); ++v) {
-    EXPECT_EQ(fx.oracle.distance(v), r.dist[static_cast<std::size_t>(v)]);
+    EXPECT_EQ(fx.engine.tree().depth(v), r.dist[static_cast<std::size_t>(v)]);
   }
 }
 
@@ -54,12 +54,12 @@ TEST(Oracle, PathsAreValidAndShortest) {
   OracleFixture fx({"gnm", gen::gnm(28, 100, 5), 0});
   for (const EdgeId e : fx.tree.tree_edges()) {
     for (Vertex v = 1; v < fx.g.num_vertices(); ++v) {
-      const std::int32_t d = fx.oracle.distance(v, e);
-      const auto path = fx.oracle.path(v, e);
+      const std::int32_t d = fx.engine.replacement_dist(v, e);
       if (d >= kInfHops) {
-        EXPECT_TRUE(path.empty());
+        EXPECT_THROW(fx.engine.replacement_path(v, e), CheckError);
         continue;
       }
+      const auto path = fx.engine.replacement_path(v, e);
       ASSERT_EQ(static_cast<std::int32_t>(path.size()) - 1, d);
       ASSERT_EQ(path.front(), fx.source);
       ASSERT_EQ(path.back(), v);
@@ -77,11 +77,33 @@ TEST(Oracle, DisconnectionReportsInfinity) {
   const EdgeWeights w = EdgeWeights::uniform_random(g, 7);
   const BfsTree tree(g, w, 0);
   const ReplacementPathEngine engine(tree);
-  const ReplacementOracle oracle(engine);
   const EdgeId mid = g.find_edge(2, 3);
-  EXPECT_EQ(oracle.distance(5, mid), kInfHops);
-  EXPECT_TRUE(oracle.path(5, mid).empty());
-  EXPECT_EQ(oracle.distance(1, mid), 1);
+  EXPECT_EQ(engine.replacement_dist(5, mid), kInfHops);
+  EXPECT_THROW(engine.replacement_path(5, mid), CheckError);
+  EXPECT_EQ(engine.replacement_dist(1, mid), 1);
+}
+
+TEST(Oracle, DeployedStructureMatchesEngineOnEveryFaultProneEdge) {
+  // The FT-BFS contract the serving path answers by: for every edge the
+  // model lets fail, dist(s,v,H\{e}) — a literal BFS on the deployed
+  // structure — equals the engine's dist(s,v,G\{e}).
+  const Graph g = gen::gnm(36, 150, 21);
+  const EdgeWeights w = EdgeWeights::uniform_random(g, 21);
+  const BfsTree tree(g, w, 0);
+  const ReplacementPathEngine engine(tree);
+  EpsilonOptions opts;
+  opts.eps = 0.25;
+  opts.weight_seed = 21;
+  const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (res.structure.is_reinforced(e)) continue;
+    const auto bfs = res.structure.distances_avoiding(e);
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(engine.replacement_dist(v, e),
+                bfs[static_cast<std::size_t>(v)])
+          << "v=" << v << " e=" << e;
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // structure_io_test.cpp — structure round trips and validation.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
+#include <string>
 
 #include "src/api/ftbfs_api.hpp"
 #include "src/core/dual_fault.hpp"
@@ -11,17 +13,27 @@
 #include "src/core/vertex_ftbfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/io/structure_io.hpp"
+#include "tests/legacy_artifact.hpp"
 
 namespace ftb {
 namespace {
+
+/// The v5 text artifact of `h` over `sources` (default: its anchor alone).
+std::string v5_bytes(const FtBfsStructure& h,
+                     std::span<const Vertex> sources = {},
+                     std::span<const DualSiteTable> tables = {}) {
+  const Vertex anchor[] = {h.source()};
+  std::ostringstream os;
+  io::write_structure_v5(h, sources.empty() ? anchor : sources, tables, os);
+  return os.str();
+}
 
 TEST(StructureIo, RoundTripPreservesThePartition) {
   const Graph g = gen::gnm(40, 170, 3);
   EpsilonOptions opts;
   opts.eps = 0.2;
   const EpsilonResult res = detail::build_epsilon_ftbfs_impl(g, 0, opts);
-  std::stringstream ss;
-  io::write_structure(res.structure, ss);
+  std::stringstream ss(v5_bytes(res.structure));
   const FtBfsStructure back = io::read_structure(g, ss);
   EXPECT_EQ(back.edges(), res.structure.edges());
   EXPECT_EQ(back.reinforced(), res.structure.reinforced());
@@ -32,8 +44,7 @@ TEST(StructureIo, RoundTripPreservesThePartition) {
 TEST(StructureIo, ReloadedStructureStillVerifies) {
   const Graph g = gen::random_connected(50, 150, 5);
   const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
-  std::stringstream ss;
-  io::write_structure(h, ss);
+  std::stringstream ss(v5_bytes(h));
   const FtBfsStructure back = io::read_structure(g, ss);
   EXPECT_TRUE(verify_structure(back).ok);
 }
@@ -41,8 +52,9 @@ TEST(StructureIo, ReloadedStructureStillVerifies) {
 TEST(StructureIo, FileRoundTrip) {
   const Graph g = gen::grid_graph(6, 6);
   const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
-  const std::string path = "/tmp/ftbfs_structure_test.ftbfs";
-  io::save_structure(h, path);
+  const std::string path = ::testing::TempDir() + "/ftbfs_structure_test.ftbfs";
+  const Vertex anchor[] = {h.source()};
+  io::save_structure_v5(h, anchor, {}, path);
   const FtBfsStructure back = io::load_structure(g, path);
   EXPECT_EQ(back.edges(), h.edges());
   std::remove(path.c_str());
@@ -51,8 +63,7 @@ TEST(StructureIo, FileRoundTrip) {
 TEST(StructureIo, RejectsWrongGraph) {
   const Graph g = gen::gnm(30, 120, 7);
   const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
-  std::stringstream ss;
-  io::write_structure(h, ss);
+  std::stringstream ss(v5_bytes(h));
   const Graph other = gen::path_graph(30);  // same n, different edges
   EXPECT_THROW(io::read_structure(other, ss), CheckError);
 }
@@ -60,8 +71,7 @@ TEST(StructureIo, RejectsWrongGraph) {
 TEST(StructureIo, RejectsWrongVertexCount) {
   const Graph g = gen::gnm(30, 120, 9);
   const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
-  std::stringstream ss;
-  io::write_structure(h, ss);
+  std::stringstream ss(v5_bytes(h));
   const Graph other = gen::gnm(31, 120, 9);
   EXPECT_THROW(io::read_structure(other, ss), CheckError);
 }
@@ -73,8 +83,7 @@ TEST(StructureIo, FaultModelTagRoundTrips) {
     const FtBfsStructure h =
         api::build(g, {.fault_model = model, .eps = 1}).structure;
     ASSERT_EQ(h.fault_class(), model);
-    std::stringstream ss;
-    io::write_structure(h, ss);
+    std::stringstream ss(v5_bytes(h));
     const FtBfsStructure back = io::read_structure(g, ss);
     EXPECT_EQ(back.fault_class(), model);
     EXPECT_EQ(back.edges(), h.edges());
@@ -83,23 +92,31 @@ TEST(StructureIo, FaultModelTagRoundTrips) {
 }
 
 TEST(StructureIo, EveryDocumentedVersionRoundTrips) {
-  // docs/file_formats.md names versions 1–4; v1 is read-only (covered by
-  // Version1FilesLoadAsEdgeModel below), v2–v4 must round-trip through
-  // write_structure/read_structure exactly.
+  // docs/file_formats.md names versions 1–5. The writer emits v5 only;
+  // v1–v4 are read-only, so their artifacts are the v5 bytes re-framed in
+  // the legacy grammar, and each must load back to the built structure.
   const Graph g = gen::random_connected(30, 70, 21);
-  {  // v2 — single-source artifact.
+  {  // v1 and v2 — single-source artifact (v1 has no fault-model line).
     const FtBfsStructure h = api::build(g, {.eps = 1}).structure;
-    std::stringstream ss;
-    io::write_structure(h, ss);
-    EXPECT_EQ(ss.str().rfind("ftbfs-structure 2\n", 0), 0u);
-    const FtBfsStructure back = io::read_structure(g, ss);
-    EXPECT_EQ(back.edges(), h.edges());
-    EXPECT_EQ(back.tree_edges(), h.tree_edges());
+    for (const int version : {1, 2}) {
+      const std::string bytes = test::legacy_from_v5(v5_bytes(h), version);
+      EXPECT_EQ(bytes.rfind("ftbfs-structure " + std::to_string(version) +
+                                "\n",
+                            0),
+                0u);
+      EXPECT_EQ(bytes.find("sources"), std::string::npos);
+      std::stringstream ss(bytes);
+      const FtBfsStructure back = io::read_structure(g, ss);
+      EXPECT_EQ(back.fault_class(), FaultClass::kEdge);
+      EXPECT_EQ(back.edges(), h.edges());
+      EXPECT_EQ(back.reinforced(), h.reinforced());
+      EXPECT_EQ(back.tree_edges(), h.tree_edges());
+    }
   }
   {  // v3 — multi-source artifact keeps its source set.
     const api::BuildResult ms = api::build(g, {.sources = {0, 9}, .eps = 0.4});
-    std::stringstream ss;
-    io::write_structure(ms.structure, ms.sources, ss);
+    std::stringstream ss(
+        test::legacy_from_v5(v5_bytes(ms.structure, ms.sources), 3));
     EXPECT_EQ(ss.str().rfind("ftbfs-structure 3\n", 0), 0u);
     std::vector<Vertex> sources;
     const FtBfsStructure back = io::read_structure(g, ss, &sources);
@@ -110,9 +127,9 @@ TEST(StructureIo, EveryDocumentedVersionRoundTrips) {
   {  // v4 — dual-failure artifact keeps its pair tables verbatim.
     const DualBuildResult r =
         detail::build_dual_failure_ftbfs_impl(g, 0, {});
-    std::stringstream ss;
     const Vertex anchor[] = {0};
-    io::write_structure(r.structure, anchor, {&r.tables, 1}, ss);
+    std::stringstream ss(test::legacy_from_v5(
+        v5_bytes(r.structure, anchor, {&r.tables, 1}), 4));
     EXPECT_EQ(ss.str().rfind("ftbfs-structure 4\n", 0), 0u);
     std::vector<Vertex> sources;
     std::vector<DualSiteTable> tables;

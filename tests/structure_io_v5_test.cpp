@@ -14,6 +14,7 @@
 #include "src/graph/generators.hpp"
 #include "src/io/structure_io.hpp"
 #include "src/util/crc32c.hpp"
+#include "tests/legacy_artifact.hpp"
 
 namespace ftb {
 namespace {
@@ -73,14 +74,6 @@ void expect_rejected(const Graph& g, const std::string& text,
   }
 }
 
-std::string rewrite_legacy(const FtBfsStructure& h,
-                           const std::vector<Vertex>& sources,
-                           const std::vector<DualSiteTable>& tables) {
-  std::ostringstream os;
-  io::write_structure(h, sources, tables, os);
-  return os.str();
-}
-
 std::string rewrite_v5(const FtBfsStructure& h,
                        const std::vector<Vertex>& sources,
                        const std::vector<DualSiteTable>& tables) {
@@ -130,10 +123,10 @@ TEST(StructureIoV5, DualArtifactRoundTrips) {
   ASSERT_EQ(tables.size(), res.dual_tables.size());
 
   // write → read → write is a fixed point, and the parsed structure is
-  // the built one (legacy bytes are the canonical equality witness).
+  // the built one.
   EXPECT_EQ(rewrite_v5(h, sources, tables), w1);
-  EXPECT_EQ(rewrite_legacy(h, sources, tables),
-            rewrite_legacy(res.structure, res.sources, res.dual_tables));
+  EXPECT_EQ(h.edges(), res.structure.edges());
+  EXPECT_EQ(h.tree_edges(), res.structure.tree_edges());
 }
 
 TEST(StructureIoV5, MultiSourceEdgeArtifactRoundTrips) {
@@ -151,28 +144,29 @@ TEST(StructureIoV5, MultiSourceEdgeArtifactRoundTrips) {
   EXPECT_EQ(sources, res.sources);
   EXPECT_TRUE(tables.empty());
   EXPECT_EQ(rewrite_v5(h, sources, tables), w1);
-  EXPECT_EQ(rewrite_legacy(h, sources, tables),
-            rewrite_legacy(res.structure, res.sources, {}));
+  EXPECT_EQ(h.edges(), res.structure.edges());
+  EXPECT_EQ(h.reinforced(), res.structure.reinforced());
 }
 
 TEST(StructureIoV5, SameStructureAsV4) {
-  // One build, both framings: v4 and v5 must decode to the same structure,
+  // One build, both framings: the legacy v4 re-framing of the v5 bytes
+  // and the v5 bytes themselves must decode to the same structure,
   // sources and tables.
   const Graph g = gen::grid_graph(4, 6);
   api::BuildSpec spec;
   spec.fault_model = FaultClass::kDual;
   const api::BuildResult res = api::build(g, spec);
 
-  std::istringstream legacy(
-      rewrite_legacy(res.structure, res.sources, res.dual_tables));
-  std::istringstream framed(
-      rewrite_v5(res.structure, res.sources, res.dual_tables));
+  const std::string v5 =
+      rewrite_v5(res.structure, res.sources, res.dual_tables);
+  std::istringstream legacy(test::legacy_from_v5(v5, 4));
+  std::istringstream framed(v5);
   std::vector<Vertex> s4, s5;
   std::vector<DualSiteTable> t4, t5;
   const FtBfsStructure h4 = io::read_structure(g, legacy, &s4, &t4);
   const FtBfsStructure h5 = io::read_structure(g, framed, &s5, &t5);
   EXPECT_EQ(s4, s5);
-  EXPECT_EQ(rewrite_legacy(h4, s4, t4), rewrite_legacy(h5, s5, t5));
+  EXPECT_EQ(rewrite_v5(h4, s4, t4), rewrite_v5(h5, s5, t5));
 }
 
 TEST(StructureIoV5, HandFramedBaselineParses) {

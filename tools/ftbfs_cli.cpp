@@ -28,9 +28,10 @@
 // --strict) and audits the serving invariants — exit 0 clean, 1 degraded,
 // 2 broken. On a v6 binary artifact, fsck first mmaps the container and
 // audits the section directory (alignment, padding, per-section CRC-32C)
-// before the Session parse. build --v5 writes the checksummed structure_io
-// v5 text framing, build --v6 the mmap-able binary container; every other
-// command reads all of them (auto-detected by magic).
+// before the Session parse. build --out writes the checksummed structure_io
+// v5 text framing, build --out --v6 the mmap-able binary container; every
+// other command reads both, and the read-only v1–v4 text artifacts too
+// (auto-detected by magic).
 //
 // Graph inputs are text or binary edge lists, auto-detected by magic;
 // --graph-format=auto|text|binary pins the parser. convert rewrites
@@ -90,10 +91,11 @@ int usage() {
          "           (edge-list re-encode; add --structure=IN to upgrade a\n"
          "            v1-v5 structure artifact to the v6 binary container)\n"
          "  build    --graph=PATH [--source=0 | --sources=0,5,10]\n"
-         "           [--eps=0.25] [--out=PATH] [--v5|--v6] [--json]\n"
+         "           [--eps=0.25] [--out=PATH] [--v6] [--json]\n"
+         "           (--out writes the v5 text artifact, --v6 the binary one)\n"
          "           [--fault-model=edge|vertex|either|dual]\n"
          "           [--site-dist]   (dual: harvest the site-local pair\n"
-         "                            oracle; persisted only by --v5/--v6)\n"
+         "                            oracle; persisted in the artifact)\n"
          "  verify   --graph=PATH --structure=PATH [--nontree] [--json]\n"
          "           [--fault-model=...]   (default: the structure's tag)\n"
          "           [--pairs=N]   (dual: failure pairs to check; -1 = all)\n"
@@ -266,29 +268,18 @@ int cmd_build(const Options& opt) {
 
   const api::BuildResult res = api::build(g, spec);
   const FtBfsStructure& h = res.structure;
-  FTB_CHECK_MSG(!(opt.has("v5") && opt.has("v6")),
-                "--v5 and --v6 are mutually exclusive");
   if (!out.empty()) {
     if (opt.has("v6")) {
       // The binary container: a section directory over the same logical
       // sections as v5, 64-byte-aligned payloads, mmap-able on load.
       io::save_structure_v6(h, res.sources, res.dual_tables,
                             res.dual_site_dist, out);
-    } else if (opt.has("v5")) {
-      // The checksummed framing: every section carries its length and
+    } else {
+      // The checksummed text framing: every section carries its length and
       // CRC-32C, so storage corruption is caught at load time. The
       // site-dist oracle (when harvested) rides along as its own section.
       io::save_structure_v5(h, res.sources, res.dual_tables,
                             res.dual_site_dist, out);
-    } else {
-      // Dual-failure artifacts ride structure_io v4 with their pair
-      // tables; everything else keeps the v2/v3 forms byte-stably. Only
-      // v5 and v6 can carry the site-dist section — refuse to drop it
-      // silently.
-      FTB_CHECK_MSG(res.dual_site_dist.empty(),
-                    "--site-dist tables persist only in the v5/v6 framings "
-                    "— add --v5 or --v6 (or drop --out)");
-      io::save_structure(h, res.sources, res.dual_tables, out);
     }
   }
 
@@ -748,7 +739,7 @@ int main(int argc, char** argv) {
     if (cmd == "build") {
       return run(opt, cmd, cmd_build,
                  {"graph", "graph-format", "fault-model", "source", "sources",
-                  "eps", "seed", "site-dist", "out", "v5", "v6", "json"});
+                  "eps", "seed", "site-dist", "out", "v6", "json"});
     }
     if (cmd == "verify") {
       return run(opt, cmd, cmd_verify,

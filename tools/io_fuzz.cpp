@@ -40,6 +40,7 @@
 #include "src/io/structure_io.hpp"
 #include "src/util/options.hpp"
 #include "src/util/rng.hpp"
+#include "tests/legacy_artifact.hpp"
 
 namespace {
 
@@ -51,45 +52,28 @@ struct CorpusEntry {
   std::string bytes;  // a valid artifact of exactly `version`
 };
 
+/// The v5 text artifact of a build, without the site-dist section.
+std::string v5_text(const api::BuildResult& res) {
+  std::ostringstream os;
+  io::write_structure_v5(res.structure, res.sources, res.dual_tables, os);
+  return os.str();
+}
+
 /// One valid artifact per documented version, over small graphs (the
 /// mutation budget goes to coverage of the grammar, not BFS time).
 std::vector<CorpusEntry> build_corpus() {
   std::vector<CorpusEntry> corpus;
 
-  // v1: no fault-model line (edge model by definition). The writers never
-  // emit v1 anymore, so the corpus hand-frames one from a built structure
-  // using the documented grammar.
-  {
+  // v1–v4: the writers emit v5 only, so the legacy seeds are v5 artifacts
+  // re-framed in the documented line grammar (tests/legacy_artifact.hpp).
+  // v1/v2: single-source edge model (v1 has no fault-model line).
+  for (const int version : {1, 2}) {
     Graph g = gen::random_connected(24, 60, 7);
     api::BuildSpec spec;
+    if (version == 2) spec.eps = 0.4;
     const api::BuildResult res = api::build(g, spec);
-    const FtBfsStructure& h = res.structure;
-    std::ostringstream os;
-    os << "ftbfs-structure 1\n"
-       << g.num_vertices() << ' ' << h.num_edges() << ' ' << h.source()
-       << '\n';
-    for (const EdgeId e : h.edges()) {
-      const auto [u, v] = g.edge(e);
-      int flags = 0;
-      if (h.is_reinforced(e)) flags |= 1;
-      if (std::binary_search(h.tree_edges().begin(), h.tree_edges().end(),
-                             e)) {
-        flags |= 2;
-      }
-      os << u << ' ' << v << ' ' << flags << '\n';
-    }
-    corpus.push_back({1, std::move(g), os.str()});
-  }
-
-  // v2: single-source edge model, written by the library.
-  {
-    Graph g = gen::random_connected(24, 60, 7);
-    api::BuildSpec spec;
-    spec.eps = 0.4;
-    const api::BuildResult res = api::build(g, spec);
-    std::ostringstream os;
-    io::write_structure(res.structure, os);
-    corpus.push_back({2, std::move(g), os.str()});
+    std::string bytes = test::legacy_from_v5(v5_text(res), version);
+    corpus.push_back({version, std::move(g), std::move(bytes)});
   }
 
   // v3: multi-source union with a sources line.
@@ -98,9 +82,8 @@ std::vector<CorpusEntry> build_corpus() {
     api::BuildSpec spec;
     spec.sources = {0, 7, 19};
     const api::BuildResult res = api::build(g, spec);
-    std::ostringstream os;
-    io::write_structure(res.structure, res.sources, os);
-    corpus.push_back({3, std::move(g), os.str()});
+    std::string bytes = test::legacy_from_v5(v5_text(res), 3);
+    corpus.push_back({3, std::move(g), std::move(bytes)});
   }
 
   // v4: dual-failure structure with its pair tables.
@@ -109,9 +92,8 @@ std::vector<CorpusEntry> build_corpus() {
     api::BuildSpec spec;
     spec.fault_model = FaultClass::kDual;
     const api::BuildResult res = api::build(g, spec);
-    std::ostringstream os;
-    io::write_structure(res.structure, res.sources, res.dual_tables, os);
-    corpus.push_back({4, std::move(g), os.str()});
+    std::string bytes = test::legacy_from_v5(v5_text(res), 4);
+    corpus.push_back({4, std::move(g), std::move(bytes)});
   }
 
   // v5: the same dual artifact in the checksummed framing.
@@ -305,10 +287,15 @@ bool roundtrips(const Graph& g, const FtBfsStructure& h,
     std::ostringstream os;
     if (mode == kV5) {
       io::write_structure_v5(hh, ss, tt, sd, os);
-    } else {
-      io::write_structure(hh, ss, tt, os);
+      return os.str();
     }
-    return os.str();
+    // The legacy framing the structure needs: v4 for two simultaneous
+    // failures, v3 for a source set, v2 otherwise.
+    io::write_structure_v5(hh, ss, tt, os);
+    const int version = hh.fault_class() == FaultClass::kDual ? 4
+                        : ss.size() > 1                      ? 3
+                                                             : 2;
+    return test::legacy_from_v5(os.str(), version);
   };
   for (const Mode mode : {kLegacy, kV5, kV6}) {
     const std::string w1 = canonical(mode, h, sources, tables, site_dist);
