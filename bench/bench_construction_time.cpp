@@ -744,10 +744,11 @@ bool run_dual_scale_report(bench::JsonObject* out) {
 ///   * bit-identity — structures, pair tables AND site-dist rows must be
 ///     byte-identical under both schedules on every identity seed (the
 ///     oracle is harvested so its rows are part of the referee);
-///   * work — the rebase-seam counter (label writes + sweep visits) must
-///     be strictly below the independent schedule's on every run: the DFS
-///     schedule pays subtree-volume patches where the referee pays a full
-///     O(n) label copy per site;
+///   * work — the rebase-seam counter (label writes + sweep visits +
+///     derived-tree writes) must be strictly below the independent
+///     schedule's on every run: the DFS schedule pays subtree-volume
+///     patches and spliced windows where the referee pays a full O(n)
+///     label copy and an O(n + m) tree derivation per site;
 ///   * wall-clock — best-of-repeats DFS build beats the independent build
 ///     at the large-n tier, where the removed copies dominate.
 /// FTBFS_DUAL_DFS_SCALE_N resizes the timing tier (rounded down to a power
@@ -817,7 +818,9 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
         .set("n", static_cast<std::int64_t>(id_n))
         .set("identical", same)
         .set("work_dfs", dfs.sweep_work.total())
-        .set("work_independent", ind.sweep_work.total());
+        .set("work_independent", ind.sweep_work.total())
+        .set("derived_writes_dfs", dfs.sweep_work.derived_writes)
+        .set("derived_writes_independent", ind.sweep_work.derived_writes);
     rows.push(row);
   }
 
@@ -833,8 +836,8 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
       gen::rmat_connected(scale, 3 * static_cast<std::int64_t>(tn), 1);
   double dfs_s = 1e300;
   double ind_s = 1e300;
-  std::int64_t big_work_dfs = 0;
-  std::int64_t big_work_ind = 0;
+  SweepWorkStats big_work_dfs;
+  SweepWorkStats big_work_ind;
   bool big_identical = true;
   const auto timed_leg = [&](bool dfs_leg) {
     DualFtBfsOptions opts;
@@ -845,10 +848,10 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
     const double s = t.seconds();
     if (dfs_leg) {
       dfs_s = std::min(dfs_s, s);
-      big_work_dfs = r.sweep_work.total();
+      big_work_dfs = r.sweep_work;
     } else {
       ind_s = std::min(ind_s, s);
-      big_work_ind = r.sweep_work.total();
+      big_work_ind = r.sweep_work;
     }
     return r;
   };
@@ -863,7 +866,7 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
                     dfs.tables.edge_pool == ind.tables.edge_pool;
   }
   const double speedup = ind_s / dfs_s;
-  const bool big_work_ok = big_work_dfs < big_work_ind;
+  const bool big_work_ok = big_work_dfs.total() < big_work_ind.total();
   const bool speed_ok = speedup > 1.0;
   identical = identical && big_identical;
   work_ok = work_ok && big_work_ok;
@@ -881,7 +884,10 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
   }
   std::cout << "dual dfs schedule (n=" << tn << "): dfs " << dfs_s
             << "s, independent " << ind_s << "s — " << speedup
-            << "x, work " << big_work_dfs << " vs " << big_work_ind << "\n";
+            << "x, work " << big_work_dfs.total() << " vs "
+            << big_work_ind.total() << " (derived writes "
+            << big_work_dfs.derived_writes << " vs "
+            << big_work_ind.derived_writes << ")\n";
 
   out->set_raw("identity_per_seed", rows.str(2))
       .set("timing_n", static_cast<std::int64_t>(tn))
@@ -889,8 +895,10 @@ bool run_dual_dfs_schedule_report(bench::JsonObject* out) {
       .set("build_s_dfs", dfs_s)
       .set("build_s_independent", ind_s)
       .set("speedup_build", speedup)
-      .set("work_dfs", big_work_dfs)
-      .set("work_independent", big_work_ind)
+      .set("work_dfs", big_work_dfs.total())
+      .set("work_independent", big_work_ind.total())
+      .set("derived_writes_dfs", big_work_dfs.derived_writes)
+      .set("derived_writes_independent", big_work_ind.derived_writes)
       .set("bit_identical", identical)
       .set("work_strictly_lower", work_ok)
       .set("gates_ok", identical && work_ok && speed_ok);

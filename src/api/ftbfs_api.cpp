@@ -328,10 +328,14 @@ struct Session::Impl {
   // SessionConfig::tolerate_corruption). Immutable after construction —
   // a degraded session stays degraded for its whole lifetime.
   bool serving_degraded = false;
+  // True when the load dropped any shipped section as damaged (truncated,
+  // CRC mismatch), the site-dist accelerator included: fsck then reports
+  // DEGRADED, whatever the queries are tagged.
+  bool artifact_damaged = false;
   std::vector<std::string> degradation;  // human-readable reasons
   // Accelerator-only notes (site-dist drops / rebuilds): losing the
   // accelerator loses speed, never answers, so these do NOT degrade the
-  // session — fsck surfaces them as notes.
+  // session's query outcomes — fsck surfaces them as notes.
   std::vector<std::string> accel_notes;
 
   Impl(const Graph& graph, FtBfsStructure&& h, std::vector<Vertex> srcs,
@@ -350,6 +354,7 @@ struct Session::Impl {
         dual_site_dist(std::move(site_dist)),
         pool(pool_in),
         serving_degraded(!load_drops.empty()),
+        artifact_damaged(!load_drops.empty() || !accel_drops.empty()),
         degradation(std::move(load_drops)),
         accel_notes(std::move(accel_drops)) {
     // The build's fused canonical sweep, replayed: the adoption ctor is
@@ -989,7 +994,7 @@ FsckReport Session::fsck() const {
   const Graph& g = *im.g;
   const FtBfsStructure& h = im.structure;
   FsckReport rep;
-  rep.degraded = im.serving_degraded;
+  rep.degraded = im.serving_degraded || im.artifact_damaged;
   rep.notes = im.degradation;
   rep.notes.insert(rep.notes.end(), im.accel_notes.begin(),
                    im.accel_notes.end());

@@ -82,9 +82,10 @@ struct BuildSpec {
   /// Dual model only: schedule the pruned build's first-failure sites in
   /// T0 DFS order on per-thread punctured-tree workspaces, so each site's
   /// rebase patches its processed ancestor's state instead of paying an
-  /// independent full label copy. Off is the independent-rebase referee;
-  /// structures, pair tables and site-dist rows are bit-identical either
-  /// way (pinned by tests and the dual_dfs_schedule bench gate).
+  /// independent full label copy and tree derivation. Off is the
+  /// independent-rebase referee; structures, pair tables and site-dist
+  /// rows are bit-identical either way (pinned by tests and the
+  /// dual_dfs_schedule bench gate).
   bool dual_dfs_schedule = true;
 
   /// Throws CheckError ("invalid BuildSpec: …") on NaN / out-of-range ε,
@@ -296,7 +297,10 @@ struct SessionConfig {
 
 /// What Session::fsck() found. `ok` means every audited invariant held;
 /// `degraded` reports whether the session is serving recomputed (not
-/// artifact) pair tables. docs/robustness.md documents the audit matrix.
+/// artifact) pair tables, or its load dropped any shipped section as
+/// damaged (truncated, CRC mismatch) — the site-dist accelerator included,
+/// although losing it does not degrade query outcomes (Session::degraded()
+/// stays false). docs/robustness.md documents the audit matrix.
 struct FsckReport {
   bool ok = true;
   bool degraded = false;

@@ -28,22 +28,28 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/graph/bfs_tree.hpp"
 
 namespace ftb {
 
-/// Work accounting for the rebase seam: how many per-vertex label
-/// assignments (full copies, undo restores, canonical relabels) and how
-/// many Dial-sweep vertex visits a punctured-tree production performed.
-/// The dual build's schedule referee compares these totals — the DFS
-/// schedule's patch-and-undo must come in strictly below the independent
-/// schedule's full per-site label copies.
+/// Work accounting for the rebase seam, one unit per array entry written:
+/// label assignments (full copies, undo restores, canonical relabels),
+/// Dial-sweep vertex visits, and derived-tree entries (children lists,
+/// preorder slots with their tin and tree-edge slot, subtree sizes,
+/// tree-edge table entries, finalization-order slots). A fresh tree's
+/// derived pass counts n + m. The dual build's schedule referee compares
+/// the totals — the DFS schedule's patch-and-undo must come in strictly
+/// below the independent schedule's full per-site copies and derivations.
 struct SweepWorkStats {
   std::int64_t label_writes = 0;
   std::int64_t sweep_visits = 0;
-  std::int64_t total() const { return label_writes + sweep_visits; }
+  std::int64_t derived_writes = 0;
+  std::int64_t total() const {
+    return label_writes + sweep_visits + derived_writes;
+  }
 };
 
 /// Reusable per-thread arena for replacement_dist_sweep. Zero steady-state
@@ -112,13 +118,11 @@ void replacement_dist_sweep(const BfsTree& tree, EdgeId banned_edge,
 /// vertices get their punctured hop distances from replacement_dist_sweep
 /// (seeded by the unaffected boundary) and then the same canonical parent
 /// rule as canonical_sp pass 2, processed in ascending level order. The
-/// result is bit-identical to BfsTree(g, W, source, bans) at a cost
-/// proportional to the affected subtree's volume plus O(n + m) for the
-/// label copy and derived tree arrays (no graph traversal — the win over
-/// a full rebuild is the BFS and the canonical relaxation, not the array
-/// bookkeeping) — this is the sibling-prefix reuse the dual-failure
-/// recursion leans on (one rebase per first-failure site instead of one
-/// full canonical BFS of G each).
+/// result is bit-identical to BfsTree(g, W, source, bans) with no graph
+/// traversal outside the subtree, but it still pays O(n + m) per call: a
+/// full label copy and a fresh tree's derived arrays. That makes it the
+/// independent-schedule referee of the dual build; PuncturedWorkspace is
+/// the production path.
 BfsTree rebase_punctured_tree(const BfsTree& base, EdgeId banned_edge,
                               Vertex banned_vertex,
                               SweepWorkStats* work = nullptr);
@@ -126,35 +130,44 @@ BfsTree rebase_punctured_tree(const BfsTree& base, EdgeId banned_edge,
 /// Per-thread punctured-tree workspace — the DFS-order ancestor-sweep
 /// sharing seam of the dual build.
 ///
-/// rebase_punctured_tree pays three O(n) terms per site that have nothing
-/// to do with the fault's subtree: the full label copy `sp = base.sp()`,
-/// the fresh order/derived-array allocations, and their deallocation. The
-/// workspace amortizes all three across a DFS-ordered run of sites: it
-/// binds to the base tree ONCE (one full label copy), then each puncture()
-/// patches only the affected subtree's labels in place and rebuilds the
-/// derived arrays into retained capacity.
-///
-/// The reuse invariant that makes the patch sound: outside the affected
-/// subtree A_f every label of T_f equals T0 verbatim, so a workspace whose
-/// labels are "T0 everywhere except the previously patched subtree" only
-/// has to restore the STALE DIFFERENCE — the previous site's subtree minus
-/// the new site's subtree (undo values come straight from the base tree;
-/// no undo log is needed). Walking sites in T0 DFS order makes that
-/// difference the ancestor→site path segment: a child site's subtree nests
-/// inside its processed ancestor's, so the ancestor's patch is mostly
-/// overwritten, not undone, and the per-site label traffic is O(vol(A_f))
-/// instead of O(n). Produced trees are bit-identical to
-/// rebase_punctured_tree (both run the one shared relabel-and-merge
-/// implementation).
+/// It binds to the base tree T0 ONCE (one full copy), then each puncture()
+/// patches the one tree object in place into T_f, the canonical tree of
+/// G \ {f}, and returns it. A_f, the base subtree below the fault, is the
+/// only place labels change:
+///   * Labels. Outside A_f every label of T_f equals T0 verbatim, so a
+///     workspace whose labels are "T0 except the previously patched
+///     subtree" only restores the previous subtree minus the new one (undo
+///     values come from the base tree; no log is kept). In T0 DFS order
+///     that difference is the ancestor→site path segment, so the label
+///     traffic is O(|A_f|), not O(n).
+///   * Children lists and subtree sizes. Lists change only for A_f's
+///     vertices, for top's base parent and for the anchors (the vertices
+///     outside A_f that A_f's new forest roots hang under); changed lists
+///     are appended past the base lists. Sizes change only on A_f and on
+///     the base root paths of top's parent and of the anchors.
+///   * Tree-edge entries (is_tree_edge) change only at A_f's old and new
+///     parent edges.
+///   * Preorder, tin and tree_edges() are T0's sequences with A_f's block
+///     cut out and each root's block spliced in, so every base vertex
+///     outside A_f moves by a shift that is constant between edits (all
+///     the way to the end when the fault disconnects vertices). Only the
+///     positions whose shift differs from the previous puncture's are
+///     rewritten, as block copies; tout is tin plus subtree size.
+///     sp().order is spliced the same way, one binary search per edit.
+/// What the previous puncture changed and this one does not rewrite is
+/// restored from the base tree. Produced trees are bit-identical to BfsTree(g, W, s, bans) and to
+/// rebase_punctured_tree (both run the one shared relabel and order
+/// splice); Debug builds re-derive every patched tree from its labels and
+/// compare.
 ///
 /// Exclusive ownership while in use: the dual build leases one per worker
 /// from a FreeListPool. The tree returned by puncture() is valid until the
 /// next puncture()/bind() on the same workspace.
 class PuncturedWorkspace {
  public:
-  /// Binds to `base` (one full O(n) label copy, counted in stats). A
-  /// rebind to the SAME tree object is a no-op — that is what makes pooled
-  /// reuse across work chunks of one build cheap.
+  /// Binds to `base` (one full copy, counted in stats). A rebind to the
+  /// SAME tree object is a no-op — that is what makes pooled reuse across
+  /// work chunks of one build cheap.
   void bind(const BfsTree& base);
 
   /// The canonical tree of G \ {fault}, bit-identical to
@@ -167,12 +180,47 @@ class PuncturedWorkspace {
   const SweepWorkStats& stats() const { return stats_; }
 
  private:
+  /// A root's preorder block: inserted at collapsed T0 position `slot`
+  /// (A cut out); blocks sharing a slot go deeper anchor first, then by id.
+  /// `out` is the block's first position in T_f's preorder.
+  struct Splice {
+    std::int32_t slot;
+    std::int32_t depth;  // the anchor's
+    Vertex v;
+    std::int32_t out;
+  };
+  /// Base preorder positions [begin, end) that sit `shift` positions later
+  /// in the patched tree.
+  struct Run {
+    std::int32_t begin, end, shift;
+  };
+
+  /// Writes T_f's derived arrays over the previous puncture's, undoing
+  /// what this one does not rewrite; `reached` is relabel()'s reachable
+  /// prefix of by_level_. The previous tree-edge entries must already be
+  /// cleared.
+  void patch_derived(Vertex top, std::span<const Vertex> reached);
+
   const BfsTree* base_ = nullptr;
   std::optional<BfsTree> tree_;     // the reused punctured tree
   ReplacementSweepScratch sweep_;
-  std::vector<Vertex> by_level_;    // phase 2 processing order
-  std::vector<Vertex> order_;       // phase 3 merge buffer (swapped in)
+  std::vector<Vertex> by_level_;    // relabel's processing order
   Vertex dirty_top_ = kInvalidVertex;  // root of the last patched subtree
+  // The last patch's preorder runs with a nonzero shift and its A window;
+  // the positions of sp().order it rewrote.
+  std::vector<Run> runs_, prev_runs_;
+  std::pair<std::int32_t, std::int32_t> prev_cut_{0, 0};
+  std::vector<std::int32_t> bounds_;
+  std::pair<std::size_t, std::size_t> ord_dirty_{0, 0};
+  std::vector<Vertex> touched_;       // K of the last patch
+  std::vector<Vertex> prev_touched_;  // K of the one before
+  std::vector<Vertex> relisted_;      // vertices whose list was rewritten
+  std::vector<std::uint32_t> mark_;   // K membership, epoch-stamped
+  std::uint32_t mark_epoch_ = 0;
+  std::vector<std::int32_t> delta_;   // subtree-size change on K
+  std::vector<Vertex> roots_;
+  std::vector<Splice> splices_;
+  std::vector<Vertex> stack_;
   SweepWorkStats stats_;
 };
 

@@ -207,6 +207,18 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
     // bit-parallel knob has nothing to fuse here.
     std::atomic<std::int64_t> label_writes{0};
     std::atomic<std::int64_t> sweep_visits{0};
+    std::atomic<std::int64_t> derived_writes{0};
+    // The site loop below already spreads sites over the pool, so each
+    // site's two restricted engines run on the thread that owns the site.
+    // Nested on the same pool, their four small jobs a site each cost a
+    // lock round trip and a wake-up, more than the restricted work itself
+    // on small subtrees (docs/perf.md § Splicing the punctured tree).
+    ThreadPool site_local(1);
+    const auto add_work = [&](const SweepWorkStats& w) {
+      label_writes.fetch_add(w.label_writes, std::memory_order_relaxed);
+      sweep_visits.fetch_add(w.sweep_visits, std::memory_order_relaxed);
+      derived_writes.fetch_add(w.derived_writes, std::memory_order_relaxed);
+    };
 
     // The per-site body both schedules share — everything except how the
     // punctured tree `tf` was produced, so bit-identity between the
@@ -217,7 +229,7 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       FaultReplacementEngine<EdgeFault>::Config ec;
       FaultReplacementEngine<VertexFault>::Config vc;
       ec.collect_detours = vc.collect_detours = false;  // only last edges
-      ec.pool = vc.pool = pool_ptr;
+      ec.pool = vc.pool = &site_local;
       ec.reference_kernel = vc.reference_kernel = reference_kernel;
       ec.ambient_banned_edge = vc.ambient_banned_edge = fe;
       ec.ambient_banned_vertex = vc.ambient_banned_vertex = fv;
@@ -248,9 +260,10 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
       // their subtree root, chunked per top-level subtree, one
       // PuncturedWorkspace leased per chunk. Each site's rebase then
       // patches against its processed ancestor's state — the workspace
-      // only restores the ancestor→site difference instead of paying an
-      // independent full label copy (see PuncturedWorkspace). Iterations
-      // still write disjoint slots, so the flatten below is untouched.
+      // only rewrites what differs, labels and derived tree arrays alike,
+      // instead of paying an independent full label copy and tree
+      // derivation (see PuncturedWorkspace). Iterations still write
+      // disjoint slots, so the flatten below is untouched.
       const std::size_t num_sites = table.sites.size();
       std::vector<Vertex> tops(num_sites);
       for (std::size_t i = 0; i < num_sites; ++i) {
@@ -301,11 +314,10 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
           site_fault(i, &fe, &fv, &top);
           run_pruned_site(i, fe, fv, top, ws->puncture(fe, fv));
         }
-        const SweepWorkStats after = ws->stats();
-        label_writes.fetch_add(after.label_writes - before.label_writes,
-                               std::memory_order_relaxed);
-        sweep_visits.fetch_add(after.sweep_visits - before.sweep_visits,
-                               std::memory_order_relaxed);
+        const SweepWorkStats& after = ws->stats();
+        add_work({after.label_writes - before.label_writes,
+                  after.sweep_visits - before.sweep_visits,
+                  after.derived_writes - before.derived_writes});
       });
     } else {
       // Independent schedule (the differential referee): every site pays
@@ -317,13 +329,13 @@ DualSiteTable detail::build_dual_site_table(const BfsTree& tree,
         SweepWorkStats w;
         const BfsTree tf = rebase_punctured_tree(tree, fe, fv, &w);
         run_pruned_site(i, fe, fv, top, tf);
-        label_writes.fetch_add(w.label_writes, std::memory_order_relaxed);
-        sweep_visits.fetch_add(w.sweep_visits, std::memory_order_relaxed);
+        add_work(w);
       });
     }
     if (sweep_work != nullptr) {
       sweep_work->label_writes += label_writes.load();
       sweep_work->sweep_visits += sweep_visits.load();
+      sweep_work->derived_writes += derived_writes.load();
     }
   }
 

@@ -179,7 +179,8 @@ struct DualFtBfsOptions {
   /// Pruned build only: walk the first-failure sites in T0 DFS order on
   /// per-thread PuncturedWorkspace arenas (dist_sweep.hpp) so each site's
   /// rebase is a subtree-volume patch against its processed ancestor's
-  /// state instead of an independent full O(n) label copy. Work is chunked
+  /// state instead of an independent full O(n) label copy and O(n + m)
+  /// tree derivation. Work is chunked
   /// per top-level subtree across the pool. Off = the independent-rebase
   /// schedule, kept as the differential referee: structures, pair tables
   /// and site-dist rows are bit-identical under both schedules. The
@@ -198,8 +199,9 @@ struct DualBuildResult {
   /// Site-local distance tables (empty unless
   /// DualFtBfsOptions::site_dist_oracle).
   DualSiteDistTable site_dist;
-  /// Rebase-seam work the pruned build performed (label writes + sweep
-  /// visits, summed over all sites; zero for the unpruned referee). The
+  /// Rebase-seam work the pruned build performed (label writes, sweep
+  /// visits and derived-tree writes, summed over all sites; zero for the
+  /// unpruned referee). The
   /// dual_dfs_schedule bench gate pins the DFS schedule's total strictly
   /// below the independent schedule's.
   SweepWorkStats sweep_work;

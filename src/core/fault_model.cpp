@@ -37,6 +37,27 @@ struct DetourCandidate {
   }
 };
 
+/// A restricted table's two vertex sets (see its constructor), per thread
+/// and epoch-stamped: a vertex is in a set iff its stamp equals `epoch`, so
+/// starting a table costs O(1) instead of two n-sized fills.
+struct RestrictionMarks {
+  std::vector<std::uint32_t> row, site;
+  std::uint32_t epoch = 0;
+
+  void reset(std::size_t n) {
+    if (row.size() < n) {
+      row.assign(n, 0);
+      site.assign(n, 0);
+      epoch = 0;
+    }
+    if (++epoch == 0) {
+      std::fill(row.begin(), row.end(), 0);
+      std::fill(site.begin(), site.end(), 0);
+      epoch = 1;
+    }
+  }
+};
+
 /// Builds `cfg`'s table over `tree`, writing its wall time to `*seconds`.
 template <class Model>
 ReplacementDistTable<Model> timed_table(
@@ -73,24 +94,29 @@ ReplacementDistTable<Model>::ReplacementDistTable(const BfsTree& tree,
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
 
   // Terminal restriction:
-  //  * row_needed — vertices whose table rows the restricted classification
+  //  * row set — vertices whose table rows the restricted classification
   //    reads: the terminals themselves plus their tree parents (children of
   //    a restricted terminal are restricted too — the span is a subtree
   //    slice). Everyone else gets a ZERO-row allocation, so the table costs
   //    the restriction's volume, not Σ_v depth(v).
-  //  * sweep_sites — fault sites with a restricted terminal in their
-  //    subtree (the terminals' ancestors-or-selves): the only sweeps whose
-  //    rows anyone reads, collected by path walks below.
-  std::vector<std::uint8_t> row_needed;
-  std::vector<std::uint8_t> site_seen;
-  std::vector<Vertex> row_vertices;  // restricted: exactly {v : row_needed}
-  std::vector<Vertex> sweep_sites;   // restricted: exactly the needed sites
-  if (!cfg.restrict_terminals.empty()) {
-    row_needed.assign(n, 0);
-    site_seen.assign(n, 0);
+  //  * site set — fault sites with a restricted terminal in their subtree
+  //    (the terminals' ancestors-or-selves): the only sweeps whose rows
+  //    anyone reads, collected by path walks below.
+  // Both sets are marked on this thread's RestrictionMarks. The pool's
+  // workers read them below through `marks`, which names this thread's
+  // instance; it is not reused before this constructor returns.
+  const bool restricted = !cfg.restrict_terminals.empty();
+  thread_local RestrictionMarks thread_marks;
+  RestrictionMarks* const marks = restricted ? &thread_marks : nullptr;
+  std::vector<Vertex> row_vertices;  // restricted: exactly the row set
+  std::vector<Vertex> sweep_sites;   // restricted: exactly the site set
+  if (restricted) {
+    marks->reset(n);
+    const std::uint32_t epoch = marks->epoch;
     const auto need_row = [&](Vertex v) {
-      if (row_needed[static_cast<std::size_t>(v)]) return;
-      row_needed[static_cast<std::size_t>(v)] = 1;
+      std::uint32_t& stamp = marks->row[static_cast<std::size_t>(v)];
+      if (stamp == epoch) return;
+      stamp = epoch;
       row_vertices.push_back(v);
     };
     for (const Vertex v : cfg.restrict_terminals) {
@@ -107,9 +133,10 @@ ReplacementDistTable<Model>::ReplacementDistTable(const BfsTree& tree,
       // (the pruned dual build constructs two engines per first-failure
       // site, so an O(n) scan here turns the whole build quadratic).
       for (Vertex u = v;
-           u != kInvalidVertex && !site_seen[static_cast<std::size_t>(u)];
+           u != kInvalidVertex &&
+           marks->site[static_cast<std::size_t>(u)] != epoch;
            u = tree_->parent(u)) {
-        site_seen[static_cast<std::size_t>(u)] = 1;
+        marks->site[static_cast<std::size_t>(u)] = epoch;
         sweep_sites.push_back(u);
       }
     }
@@ -124,7 +151,7 @@ ReplacementDistTable<Model>::ReplacementDistTable(const BfsTree& tree,
                          : std::max<std::int32_t>(0, d - Model::kFirstPos);
   };
   row_offset_.assign(n + 1, 0);
-  if (row_needed.empty()) {
+  if (!restricted) {
     for (std::size_t v = 0; v < n; ++v) {
       row_offset_[v + 1] = row_count(static_cast<Vertex>(v));
     }
@@ -146,8 +173,7 @@ ReplacementDistTable<Model>::ReplacementDistTable(const BfsTree& tree,
   // parallel. The per-thread scratch arenas make a steady-state iteration
   // allocation-free.
   const std::span<const Vertex> sites =
-      cfg.restrict_terminals.empty() ? tree_->preorder()
-                                     : std::span<const Vertex>(sweep_sites);
+      restricted ? std::span<const Vertex>(sweep_sites) : tree_->preorder();
   pool.parallel_for(sites.size(), [&](std::size_t idx) {
     const Vertex u = sites[idx];
     if (u == tree_->source()) return;
@@ -161,8 +187,8 @@ ReplacementDistTable<Model>::ReplacementDistTable(const BfsTree& tree,
     };
     // Vertices without an allocated row (restriction) must not be written.
     const auto has_row = [&](Vertex v) {
-      return row_needed.empty() ||
-             row_needed[static_cast<std::size_t>(v)] != 0;
+      return marks == nullptr ||
+             marks->row[static_cast<std::size_t>(v)] == marks->epoch;
     };
     if (cfg.reference_kernel) {
       thread_local std::vector<std::uint8_t> mask;

@@ -22,51 +22,43 @@ void BfsTree::build_derived() {
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
 
-  // Children CSR. Parents point up; invert. Children come out sorted by id
-  // because we scan vertices in id order.
-  child_offsets_.assign(n + 1, 0);
+  // Children lists. Parents point up; invert: count, lay the ranges out in
+  // id order, fill. Children come out sorted by id because we scan vertices
+  // in id order.
+  child_range_.assign(n, {0, 0});
   for (std::size_t v = 0; v < n; ++v) {
     const Vertex p = sp_.parent[v];
-    if (p != kInvalidVertex) ++child_offsets_[static_cast<std::size_t>(p) + 1];
+    if (p != kInvalidVertex) ++child_range_[idx(p)].second;
   }
-  for (std::size_t i = 0; i < n; ++i) child_offsets_[i + 1] += child_offsets_[i];
-  child_list_.resize(static_cast<std::size_t>(child_offsets_[n]));
-  {
-    csr_cursor_.assign(child_offsets_.begin(), child_offsets_.end() - 1);
-    for (std::size_t v = 0; v < n; ++v) {
-      const Vertex p = sp_.parent[v];
-      if (p != kInvalidVertex) {
-        child_list_[static_cast<std::size_t>(
-            csr_cursor_[static_cast<std::size_t>(p)]++)] =
-            static_cast<Vertex>(v);
-      }
+  std::int64_t off = 0;
+  for (auto& [begin, end] : child_range_) {
+    const std::int64_t count = end;
+    begin = end = off;
+    off += count;
+  }
+  child_list_.resize(static_cast<std::size_t>(off));
+  for (std::size_t v = 0; v < n; ++v) {
+    const Vertex p = sp_.parent[v];
+    if (p != kInvalidVertex) {
+      child_list_[static_cast<std::size_t>(child_range_[idx(p)].second++)] =
+          static_cast<Vertex>(v);
     }
   }
 
-  // Iterative preorder DFS with tin/tout and subtree sizes.
+  // Preorder and tin by an iterative DFS (children in id order); subtree
+  // sizes follow, and tout = tin + size needs no array of its own.
   tin_.assign(n, -1);
-  tout_.assign(n, -1);
   subtree_size_.assign(n, 0);
   preorder_.clear();
   if (sp_.reachable(source_)) {
-    auto& stack = dfs_stack_;  // (vertex, child idx)
-    stack.clear();
-    stack.emplace_back(source_, 0);
-    std::int32_t clock = 0;
-    tin_[idx(source_)] = clock++;
-    preorder_.push_back(source_);
+    std::vector<Vertex> stack{source_};
     while (!stack.empty()) {
-      auto& [u, ci] = stack.back();
+      const Vertex u = stack.back();
+      stack.pop_back();
+      tin_[idx(u)] = static_cast<std::int32_t>(preorder_.size());
+      preorder_.push_back(u);
       const auto kids = children(u);
-      if (ci < kids.size()) {
-        const Vertex c = kids[ci++];
-        tin_[idx(c)] = clock++;
-        preorder_.push_back(c);
-        stack.emplace_back(c, 0);
-      } else {
-        tout_[idx(u)] = clock;
-        stack.pop_back();
-      }
+      stack.insert(stack.end(), kids.rbegin(), kids.rend());
     }
   }
   num_reachable_ = static_cast<std::int32_t>(preorder_.size());
@@ -93,14 +85,14 @@ void BfsTree::build_derived() {
 
 std::span<const Vertex> BfsTree::children(Vertex v) const {
   FTB_DCHECK(g_->valid_vertex(v));
-  return {child_list_.data() + child_offsets_[idx(v)],
-          child_list_.data() + child_offsets_[idx(v) + 1]};
+  const auto [begin, end] = child_range_[idx(v)];
+  return {child_list_.data() + begin, child_list_.data() + end};
 }
 
 std::span<const Vertex> BfsTree::subtree(Vertex v) const {
   FTB_DCHECK(reachable(v));
   const std::int32_t from = tin_[idx(v)];
-  const std::int32_t to = tout_[idx(v)];
+  const std::int32_t to = tout(v);
   return {preorder_.data() + from, preorder_.data() + to};
 }
 

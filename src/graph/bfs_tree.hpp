@@ -12,6 +12,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/graph/canonical_bfs.hpp"
@@ -19,7 +20,8 @@
 
 namespace ftb {
 
-/// Canonical BFS tree rooted at a source vertex. Immutable.
+/// Canonical BFS tree rooted at a source vertex. Immutable (except inside
+/// PuncturedWorkspace::puncture, see the workspace seam below).
 class BfsTree {
  public:
   /// Builds T0 for (g, weights, source). Unreachable vertices get
@@ -35,7 +37,7 @@ class BfsTree {
           const BfsBans& bans);
 
   /// Adopts an already-computed canonical label set and builds the derived
-  /// tree machinery (children CSR, preorder intervals, tree-edge table) on
+  /// tree machinery (children lists, preorder intervals, tree-edge table) on
   /// top of it. `sp` must be exactly canonical_sp(g, weights, source, ·) of
   /// the graph the caller answers for — this is the seam the incremental
   /// punctured-tree rebase (rebase_punctured_tree in dist_sweep.hpp) plugs
@@ -77,7 +79,7 @@ class BfsTree {
   // ---- ancestry ---------------------------------------------------------
   /// True iff `a` is an ancestor of `d` or a == d (both reachable).
   bool is_ancestor_or_equal(Vertex a, Vertex d) const {
-    return tin_[idx(a)] <= tin_[idx(d)] && tout_[idx(d)] <= tout_[idx(a)];
+    return tin_[idx(a)] <= tin_[idx(d)] && tout(d) <= tout(a);
   }
   /// True iff tree edge `e` lies on π(s,v)  (⇔ lower endpoint ≼ v).
   bool on_source_path(EdgeId e, Vertex v) const {
@@ -91,7 +93,11 @@ class BfsTree {
   }
 
   std::int32_t tin(Vertex v) const { return tin_[idx(v)]; }
-  std::int32_t tout(Vertex v) const { return tout_[idx(v)]; }
+  /// One past the last preorder position of v's subtree (-1 when v is
+  /// unreachable, where tin is -1 and the size 0).
+  std::int32_t tout(Vertex v) const {
+    return tin_[idx(v)] + subtree_size_[idx(v)];
+  }
 
   /// Vertices of the subtree rooted at v — a contiguous preorder slice.
   std::span<const Vertex> subtree(Vertex v) const;
@@ -106,25 +112,21 @@ class BfsTree {
 
   // ---- workspace seam ---------------------------------------------------
   // The DFS-order dual rebase (PuncturedWorkspace in dist_sweep.hpp) reuses
-  // ONE tree object across many punctures: it patches the label set in
-  // place, then rebuild_derived() restores every derived invariant with all
-  // vector capacities retained — zero steady-state allocation. Between the
-  // two calls the tree is NOT immutable; the workspace owns it exclusively
-  // and nothing else may observe it in that window.
-
-  /// Mutable access to the label set for in-place patching. Every accessor
-  /// is stale until the next rebuild_derived().
-  CanonicalSp& mutable_sp() { return sp_; }
-  /// Recomputes everything derived from sp() (children CSR, preorder,
-  /// tin/tout, subtree sizes, tree-edge table), reusing capacity.
-  void rebuild_derived() { build_derived(); }
+  // ONE tree object across many punctures. It patches the labels AND every
+  // derived array in place: only the slices the puncture changes are
+  // rewritten, and the previous patch is undone from the base tree. Inside
+  // puncture() the tree is NOT immutable; the workspace owns it exclusively
+  // and nothing else may observe it in that window. Children are stored as
+  // per-vertex ranges into child_list_ so that the workspace can append a
+  // changed list instead of re-laying out the whole CSR.
+  friend class PuncturedWorkspace;
 
  private:
   static std::size_t idx(Vertex v) { return static_cast<std::size_t>(v); }
   static std::size_t eidx(EdgeId e) { return static_cast<std::size_t>(e); }
 
-  /// Builds everything derived from sp_ (children CSR, preorder, tin/tout,
-  /// subtree sizes, tree-edge table). Shared by all constructors.
+  /// Builds everything derived from sp_ (children lists, preorder,
+  /// tin/tout, subtree sizes, tree-edge table). Shared by all constructors.
   void build_derived();
 
   const Graph* g_;
@@ -132,21 +134,16 @@ class BfsTree {
   Vertex source_;
   CanonicalSp sp_;
 
-  // children in CSR form, sorted by id per parent
-  std::vector<std::int64_t> child_offsets_;
+  // children(v) = child_list_[child_range_[v].first, .second), sorted by id
+  std::vector<std::pair<std::int64_t, std::int64_t>> child_range_;
   std::vector<Vertex> child_list_;
 
   std::vector<Vertex> preorder_;        // reachable vertices, preorder
-  std::vector<std::int32_t> tin_, tout_;
+  std::vector<std::int32_t> tin_;
   std::vector<std::int32_t> subtree_size_;
   std::vector<Vertex> lower_;           // per EdgeId: lower endpoint or invalid
   std::vector<EdgeId> tree_edges_;
   std::int32_t num_reachable_ = 0;
-
-  // build_derived scratch, members so rebuild_derived() allocates nothing
-  // in steady state.
-  std::vector<std::int64_t> csr_cursor_;
-  std::vector<std::pair<Vertex, std::size_t>> dfs_stack_;
 };
 
 }  // namespace ftb

@@ -11,6 +11,9 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
+  // One thread runs every job on its caller (run_job's serial shortcut),
+  // so it needs no worker.
+  if (threads == 1) return;
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

@@ -17,6 +17,7 @@
 // RAII (PoolLease) for the error path to be leak-free.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -44,7 +45,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const { return workers_.size(); }
+  std::size_t thread_count() const {
+    return std::max<std::size_t>(1, workers_.size());
+  }
 
   /// Runs fn(i) for every i in [0, count). Blocks until all iterations are
   /// done. The first exception thrown by any iteration is rethrown here.

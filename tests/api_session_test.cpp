@@ -661,10 +661,12 @@ TEST(ApiSession, SiteDistOracleSurvivesSaveLoadAndRebuilds) {
       EXPECT_EQ(got.results[i].dist, want.results[i].dist) << "i=" << i;
       EXPECT_EQ(got.results[i].outcome, QueryOutcome::kInModel) << "i=" << i;
     }
-    // The dropped section is an fsck note, not a degradation.
+    // The queries are not degraded, but the artifact is damaged: fsck
+    // reports DEGRADED and names the dropped section in its notes.
     const api::FsckReport rep = survivor.fsck();
     EXPECT_TRUE(rep.ok);
-    EXPECT_FALSE(rep.degraded);
+    EXPECT_TRUE(rep.degraded);
+    EXPECT_FALSE(rep.notes.empty());
   }
   std::remove(path.c_str());
 }

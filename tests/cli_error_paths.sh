@@ -14,7 +14,8 @@
 # graph file, --eps on a non-edge pipeline, --site-dist on a non-dual
 # pipeline, flags the subcommand does not read (a typo, the removed
 # --dual-dfs-schedule and --v5), and structure upgrade / verify on a
-# truncated v5/v6 artifact. Flags come from argv only: an FTBFS_*
+# truncated v5/v6 artifact, and fsck's DEGRADED verdict on an artifact cut
+# inside its site-dist section. Flags come from argv only: an FTBFS_*
 # environment variable must not change a build. build --out writes the
 # checksummed v5 text artifact by default; the script checks its header
 # and that fsck passes it clean.
@@ -187,6 +188,31 @@ if [ "$rc" -ne 2 ]; then
   fails=$((fails + 1))
 else
   echo "ok(fsck_truncated_strict): exit 2"
+fi
+
+# A v5 artifact cut inside its site-dist section: the tolerant load drops
+# the accelerator and serves on, but the shipped artifact is damaged, so
+# fsck must report DEGRADED (exit 1), not "ok"; --strict refuses it (2).
+SD_HDR=$(grep -a -b -m1 '^section site-dist ' "$SD" | cut -d: -f1)
+SD_BYTES=$(wc -c <"$SD")
+head -c "$((SD_HDR + (SD_BYTES - SD_HDR) / 2))" "$SD" >"$TMP/trunc_sd.ftbfs"
+"$CLI" fsck --graph="$GRAPH" --structure="$TMP/trunc_sd.ftbfs" \
+  >"$TMP/fsck_sd.out" 2>"$TMP/fsck_sd.err"
+rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q '^fsck: DEGRADED' "$TMP/fsck_sd.out"; then
+  echo "FAIL(fsck_site_dist_truncated): exit $rc, expected DEGRADED (1)"
+  fails=$((fails + 1))
+else
+  echo "ok(fsck_site_dist_truncated): exit 1, DEGRADED"
+fi
+"$CLI" fsck --graph="$GRAPH" --structure="$TMP/trunc_sd.ftbfs" --strict \
+  >/dev/null 2>&1
+rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "FAIL(fsck_site_dist_truncated_strict): exit $rc, expected 2"
+  fails=$((fails + 1))
+else
+  echo "ok(fsck_site_dist_truncated_strict): exit 2"
 fi
 
 if [ "$fails" -ne 0 ]; then

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <type_traits>
 
 #include "src/api/ftbfs_api.hpp"
@@ -28,6 +29,7 @@
 #include "src/core/dual_fault.hpp"
 #include "src/core/ftbfs.hpp"
 #include "src/core/vertex_ftbfs.hpp"
+#include "src/util/rng.hpp"
 #include "tests/property_test_util.hpp"
 #include "tests/test_util.hpp"
 
@@ -229,6 +231,97 @@ INSTANTIATE_TEST_SUITE_P(
     Families, FaultModelFamilyTest,
     ::testing::Range<std::size_t>(0, sweep_cases().size()),
     [](const auto& pinfo) { return sweep_cases()[pinfo.param].name(); });
+
+// ---- the punctured-tree workspace -----------------------------------------
+
+/// Every label and every derived accessor of `got` against `want`, over all
+/// vertices and edges.
+void expect_same_tree(const BfsTree& got, const BfsTree& want,
+                      const std::string& where) {
+  const Graph& g = want.graph();
+  ASSERT_EQ(got.sp().hops, want.sp().hops) << where;
+  ASSERT_EQ(got.sp().wsum, want.sp().wsum) << where;
+  ASSERT_EQ(got.sp().parent, want.sp().parent) << where;
+  ASSERT_EQ(got.sp().parent_edge, want.sp().parent_edge) << where;
+  ASSERT_EQ(got.sp().first_hop, want.sp().first_hop) << where;
+  ASSERT_EQ(got.sp().order, want.sp().order) << where;
+  ASSERT_EQ(got.num_reachable(), want.num_reachable()) << where;
+  ASSERT_TRUE(std::ranges::equal(got.preorder(), want.preorder())) << where;
+  ASSERT_EQ(got.tree_edges(), want.tree_edges()) << where;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(got.tin(v), want.tin(v)) << where << " v=" << v;
+    ASSERT_EQ(got.tout(v), want.tout(v)) << where << " v=" << v;
+    ASSERT_EQ(got.subtree_size(v), want.subtree_size(v))
+        << where << " v=" << v;
+    ASSERT_TRUE(std::ranges::equal(got.children(v), want.children(v)))
+        << where << " v=" << v;
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    ASSERT_EQ(got.is_tree_edge(e), want.is_tree_edge(e))
+        << where << " e=" << e;
+    if (want.is_tree_edge(e)) {
+      ASSERT_EQ(got.lower_endpoint(e), want.lower_endpoint(e))
+          << where << " e=" << e;
+    }
+  }
+}
+
+TEST(PuncturedWorkspace, EveryPunctureMatchesFullRebuild) {
+  // The workspace patches one tree in place per site and undoes the
+  // previous patch from the base tree. Every produced tree must equal a
+  // from-scratch build on the punctured graph, first in T0 DFS order (the
+  // dual build's schedule: nested subtrees, partial undo), then in a seeded
+  // shuffled order, so that undo runs across unrelated subtrees. The
+  // sites are counted by what the fault cuts off: nothing; exactly the
+  // vertex site's own top (the rest of A_f hangs back on); more (a bridge
+  // or a cut vertex). An edge site loses all of A_f or none of it, since
+  // A_f stays connected through its tree edges.
+  std::int64_t kept_all = 0, lost_top_only = 0, lost_more = 0;
+  for (const test::FamilyCase& fc : test::diff_families()) {
+    const EdgeWeights w = EdgeWeights::uniform_random(fc.graph, 47);
+    const BfsTree base(fc.graph, w, fc.source);
+    struct Site {
+      EdgeId e;
+      Vertex v;
+    };
+    std::vector<Site> sites;  // T0 DFS order, the edge into u before u
+    for (const Vertex u : base.preorder()) {
+      if (u == base.source()) continue;
+      sites.push_back({base.parent_edge(u), kInvalidVertex});
+      sites.push_back({kInvalidEdge, u});
+    }
+    std::vector<Site> shuffled = sites;
+    Rng rng(0xD1CE);
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
+    }
+    PuncturedWorkspace ws;
+    ws.bind(base);
+    for (const std::vector<Site>* order : {&sites, &shuffled}) {
+      for (const Site& s : *order) {
+        BfsBans bans;
+        bans.banned_edge = s.e;
+        bans.banned_vertex_one = s.v;
+        const BfsTree want(fc.graph, w, fc.source, bans);
+        const BfsTree& got = ws.puncture(s.e, s.v);
+        const std::int32_t lost = base.num_reachable() - want.num_reachable();
+        kept_all += lost == 0 ? 1 : 0;
+        lost_top_only += s.v != kInvalidVertex && lost == 1 &&
+                                 base.subtree_size(s.v) > 1
+                             ? 1
+                             : 0;
+        lost_more += lost > 1 ? 1 : 0;
+        expect_same_tree(got, want,
+                         fc.name + " e=" + std::to_string(s.e) +
+                             " v=" + std::to_string(s.v));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(kept_all, 0);
+  EXPECT_GT(lost_top_only, 0);
+  EXPECT_GT(lost_more, 0);
+}
 
 // ---- the distance plane on its own ---------------------------------------
 

@@ -149,6 +149,50 @@ TEST(SessionFsck, StrictLoadRefusesCorruptArtifact) {
   std::remove(path.c_str());
 }
 
+TEST(SessionFsck, TruncatedSiteDistSectionIsDegraded) {
+  // An artifact cut inside its site-dist section: the tolerant load drops
+  // the accelerator and serves every query as before (kInModel, same
+  // answers), but the shipped artifact is damaged, so fsck says DEGRADED.
+  const Graph g = gen::grid_graph(5, 5);
+  BuildSpec spec;
+  spec.fault_model = FaultClass::kDual;
+  spec.site_dist_oracle = true;
+  const Session built = Session::open(g, spec);
+  const std::string path = ::testing::TempDir() + "/fsck_site_dist.ftbfs";
+  built.save_v5(path);
+  std::string bytes = slurp(path);
+  const std::size_t hdr = bytes.find("section site-dist ");
+  ASSERT_NE(hdr, std::string::npos);
+  bytes.resize(hdr + (bytes.size() - hdr) / 2);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << bytes;
+  }
+  const Session cut = Session::load(g, path);
+  EXPECT_FALSE(cut.degraded());
+  const api::FsckReport rep = cut.fsck();
+  EXPECT_TRUE(rep.ok) << rep.to_string();
+  EXPECT_TRUE(rep.degraded);
+  EXPECT_FALSE(rep.notes.empty());
+  EXPECT_EQ(rep.to_string().rfind("fsck: DEGRADED", 0), 0u);
+
+  const std::vector<Query> batch = mixed_batch(g, 0, 0x517E'D157ULL);
+  const QueryResponse want = built.query(batch);
+  const QueryResponse got = cut.query(batch);
+  ASSERT_EQ(want.results.size(), got.results.size());
+  for (std::size_t i = 0; i < want.results.size(); ++i) {
+    EXPECT_EQ(got.results[i].dist, want.results[i].dist) << "query " << i;
+    EXPECT_EQ(got.results[i].outcome, want.results[i].outcome)
+        << "query " << i;
+  }
+  EXPECT_EQ(got.degraded, 0);
+
+  SessionConfig strict;
+  strict.tolerate_corruption = false;
+  EXPECT_THROW(Session::load(g, path, strict), CheckError);
+  std::remove(path.c_str());
+}
+
 // The tentpole property: a session degraded by artifact corruption serves
 // the FULL query mix with answers bit-identical to a fresh build; only the
 // outcome tag changes (kInModel pairs → kDegraded).
