@@ -5,7 +5,7 @@
 //   b(n) = O(min{ 1/ε · n^{1+ε} · log n , n^{3/2} })   backup edges and
 //   r(n) = O(1/ε · n^{1-ε} · log n)                    reinforced edges.
 //
-// Pipeline (mirrors the paper's phases; see DESIGN.md for the mapping):
+// Pipeline (mirrors the paper's phases; docs/architecture.md maps them):
 //   S0  replacement-path engine: covered/uncovered pairs, canonical
 //       detours, last edges (core/replacement.hpp);
 //   S1  (≁)-interference rounds: K = ⌈1/ε⌉+2 iterations of type-A/B/C

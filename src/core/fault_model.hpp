@@ -362,18 +362,24 @@ class ReplacementDistTable {
 /// The single S0 engine, generic over the fault model. Construct once per
 /// (graph, source, weights); every construction reads from it.
 ///
-/// Engine realization (see replacement.hpp's file comment and DESIGN.md for
-/// the equivalence proofs; everything below holds verbatim for both models
-/// with the policy hooks substituted):
+/// Engine realization (see replacement.hpp's file comment and
+/// docs/architecture.md § Detours for the equivalence argument; everything
+/// below holds verbatim for both models with the policy hooks substituted):
 ///   * the distance plane is one ReplacementDistTable, built first;
 ///   * the covered test for ⟨v,fault⟩ reduces to: some T0-neighbor u of v,
 ///     not destroyed by the fault, with dist_f(u) + 1 = dist_f(v);
-///   * one canonical BFS from v in the off-path graph
-///     H_v = G \ (V(π(s,v)) \ {v}) yields, for every divergence candidate
-///     u_j, the best detour length detlen(j) and its canonical last edge;
-///     the divergence point of the pair at position i is u_{j*} with
+///   * for every divergence candidate u_j of a terminal with uncovered
+///     pairs, the best detour length detlen(j) through the off-path graph
+///     H_v = G \ (V(π(s,v)) \ {v}) and its canonical last edge; the
+///     divergence point of the pair at position i is u_{j*} with
 ///     j* = min{ j ≤ i − kDivergeGap : j + detlen(j) = dist_f(v) }.
-/// Both sweeps are O(n·m) total and run on the thread pool.
+///     Siblings share H_v, so a sibling group whose per-terminal sweeps
+///     would provably cost more is served by one capped sweep per
+///     divergence vertex u_j (and a rank split of the parent's arcs for
+///     j = k−1); any other terminal — and any group member whose label is
+///     tied — by one capped canonical BFS from v in H_v.
+/// The distance plane and the per-terminal sweeps run on the thread pool,
+/// shared groups on the calling thread.
 template <class Model>
 class FaultReplacementEngine {
  public:
@@ -430,6 +436,11 @@ class FaultReplacementEngine {
     std::int64_t pairs_covered = 0;
     std::int64_t pairs_uncovered = 0;
     std::int64_t detour_vertices = 0;  // arena size
+    // Detour work: every capped canonical sweep the detour phase ran.
+    std::int64_t forward_sweeps = 0;    // one per terminal, from v
+    std::int64_t shared_sweeps = 0;     // sibling groups', from u_j or p
+    std::int64_t shared_terminals = 0;  // pairs taken from shared sweeps
+    std::int64_t tie_fallbacks = 0;     // group members re-served forward
     double seconds_dist_tables = 0;
     double seconds_detours = 0;
   };

@@ -11,9 +11,10 @@
 //      Claims 4.4–4.6).
 //
 // The engine realization lives once, generically, in fault_model.{hpp,cpp}
-// (see the equivalence proofs in DESIGN.md); this header pins the edge
-// instantiation under its historical name. UncoveredPair — the S0 artifact
-// every downstream phase consumes — is defined in fault_model.hpp.
+// (docs/architecture.md § Detours has the equivalence argument); this
+// header pins the edge instantiation under its historical name.
+// UncoveredPair — the S0 artifact every downstream phase consumes — is
+// defined in fault_model.hpp.
 #pragma once
 
 #include "src/core/fault_model.hpp"

@@ -3,7 +3,7 @@
 // Checks Definition 2.1 directly:
 //   dist(s, v, H \ {e}) = dist(s, v, G \ {e})  ∀ v, ∀ e ∈ E(G) \ E'.
 //
-// Verification plan (see DESIGN.md §5):
+// Verification plan (docs/architecture.md § Verification):
 //   0. H ⊆ G and T0 ⊆ H by construction (FtBfsStructure enforces both).
 //   1. failure-free check: dist(s,·,H) == dist(s,·,G) (H spans a BFS tree).
 //   2. tree failures: for every tree edge e ∉ E', BFS G\{e} and H\{e},

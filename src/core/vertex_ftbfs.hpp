@@ -7,7 +7,7 @@
 //   dist(s, v, H \ {x}) = dist(s, v, G \ {x})       for every v ∈ V.
 //
 // The whole edge-fault engine carries over with two policy changes (proofs
-// mirror the edge case; see DESIGN.md and fault_model.hpp):
+// mirror the edge case; see docs/architecture.md and fault_model.hpp):
 //   * distance tables come from one BFS of G \ {x} per internal tree
 //     vertex x, stored for the vertices of subtree(x);
 //   * for a pair ⟨v, x⟩ with x = u_i on π(s,v), divergence candidates are

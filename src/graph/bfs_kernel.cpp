@@ -182,7 +182,7 @@ void bfs_run(const Graph& g, Vertex src, const BfsBans& bans,
 
 void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
                       const BfsBans& bans, CanonicalSpScratch& sp,
-                      std::int32_t depth_limit) {
+                      std::int32_t depth_limit, bool track_ties) {
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   FTB_CHECK(g.valid_vertex(src));
   FTB_CHECK_MSG(!bans.vertex_banned(src), "source is banned");
@@ -194,61 +194,80 @@ void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
     sp.wsum_.resize(n);
     sp.first_hop_.resize(n);
   }
+  if (track_ties && sp.tie_.size() < n) sp.tie_.resize(n);
+  sp.ties_valid_ = track_ties;
 
   s.mark(src, 0, kInvalidVertex, kInvalidEdge);
   sp.wsum_[static_cast<std::size_t>(src)] = 0;
   sp.first_hop_[static_cast<std::size_t>(src)] = kInvalidVertex;
+  if (track_ties) sp.tie_[static_cast<std::size_t>(src)] = 0;
   s.order_.push_back(src);
 
-  std::size_t level_begin = 0;
-  std::size_t level_end = 1;
-  std::int32_t level = 0;
+  // One instantiation per setting, so the untracked sweep pays nothing for
+  // the tie flags.
+  const auto run = [&]<bool kTies>() {
+    std::size_t level_begin = 0;
+    std::size_t level_end = 1;
+    std::int32_t level = 0;
 
-  while (level_begin < level_end && level < depth_limit) {
-    ++s.stats_.levels;
-    ++s.stats_.top_down_levels;
-    const std::size_t next_begin = level_end;
-    // Expanding the level-sorted frontier in ascending order makes the
-    // canonical candidates of each next-level vertex arrive with strictly
-    // increasing predecessor id, so keeping the first strict wsum minimum
-    // reproduces the reference (wsum, parent id, edge id) tie-break.
-    for (std::size_t i = level_begin; i < level_end; ++i) {
-      const Vertex u = s.order_[i];
-      const std::uint64_t wu = sp.wsum_[static_cast<std::size_t>(u)];
-      for (const Arc& a : g.neighbors(u)) {
-        if (bans.edge_banned(a.edge)) continue;
-        const Vertex v = a.to;
-        const std::size_t vi = static_cast<std::size_t>(v);
-        if (s.visited(v)) {
-          if (s.dist_[vi] == level + 1) {
-            const std::uint64_t cand = wu + weights[a.edge];
-            if (cand < sp.wsum_[vi]) {
-              sp.wsum_[vi] = cand;
-              s.parent_[vi] = u;
-              s.parent_edge_[vi] = a.edge;
+    while (level_begin < level_end && level < depth_limit) {
+      ++s.stats_.levels;
+      ++s.stats_.top_down_levels;
+      const std::size_t next_begin = level_end;
+      // Expanding the level-sorted frontier in ascending order makes the
+      // canonical candidates of each next-level vertex arrive with strictly
+      // increasing predecessor id, so keeping the first strict wsum minimum
+      // reproduces the reference (wsum, parent id, edge id) tie-break.
+      // tie_ first records whether the level's minimum wsum arrived over
+      // two or more arcs; the finalization pass then ORs in the parent's.
+      for (std::size_t i = level_begin; i < level_end; ++i) {
+        const Vertex u = s.order_[i];
+        const std::uint64_t wu = sp.wsum_[static_cast<std::size_t>(u)];
+        for (const Arc& a : g.neighbors(u)) {
+          if (bans.edge_banned(a.edge)) continue;
+          const Vertex v = a.to;
+          const std::size_t vi = static_cast<std::size_t>(v);
+          if (s.visited(v)) {
+            if (s.dist_[vi] == level + 1) {
+              const std::uint64_t cand = wu + weights[a.edge];
+              if (cand < sp.wsum_[vi]) {
+                sp.wsum_[vi] = cand;
+                s.parent_[vi] = u;
+                s.parent_edge_[vi] = a.edge;
+                if constexpr (kTies) sp.tie_[vi] = 0;
+              } else if (kTies && cand == sp.wsum_[vi]) {
+                sp.tie_[vi] = 1;
+              }
             }
+            continue;
           }
-          continue;
+          if (bans.vertex_banned(v)) continue;
+          s.mark(v, level + 1, u, a.edge);
+          sp.wsum_[vi] = wu + weights[a.edge];
+          if constexpr (kTies) sp.tie_[vi] = 0;
+          s.order_.push_back(v);
+          set_bit(s.front_bits_, v);
         }
-        if (bans.vertex_banned(v)) continue;
-        s.mark(v, level + 1, u, a.edge);
-        sp.wsum_[vi] = wu + weights[a.edge];
-        s.order_.push_back(v);
-        set_bit(s.front_bits_, v);
       }
+      s.finalize_level_segment(next_begin, n);
+      // Finalize first_hop (and tie) once the level's parents can no
+      // longer change.
+      for (std::size_t i = next_begin; i < s.order_.size(); ++i) {
+        const std::size_t vi = static_cast<std::size_t>(s.order_[i]);
+        const std::size_t pi = static_cast<std::size_t>(s.parent_[vi]);
+        sp.first_hop_[vi] =
+            (s.parent_[vi] == src) ? s.order_[i] : sp.first_hop_[pi];
+        if constexpr (kTies) sp.tie_[vi] |= sp.tie_[pi];
+      }
+      level_begin = next_begin;
+      level_end = s.order_.size();
+      ++level;
     }
-    s.finalize_level_segment(next_begin, n);
-    // Finalize first_hop once the level's parents can no longer change.
-    for (std::size_t i = next_begin; i < s.order_.size(); ++i) {
-      const std::size_t vi = static_cast<std::size_t>(s.order_[i]);
-      const Vertex p = s.parent_[vi];
-      sp.first_hop_[vi] = (p == src)
-                              ? s.order_[i]
-                              : sp.first_hop_[static_cast<std::size_t>(p)];
-    }
-    level_begin = next_begin;
-    level_end = s.order_.size();
-    ++level;
+  };
+  if (track_ties) {
+    run.template operator()<true>();
+  } else {
+    run.template operator()<false>();
   }
 }
 

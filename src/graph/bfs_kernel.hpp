@@ -99,7 +99,7 @@ class BfsScratch {
                       const BfsKernelConfig&);
   friend void canonical_sp_run(const Graph&, const EdgeWeights&, Vertex,
                                const BfsBans&, CanonicalSpScratch&,
-                               std::int32_t);
+                               std::int32_t, bool);
   friend class CanonicalSpScratch;
 
   /// Bumps the epoch and (re)sizes the arrays; O(1) steady-state.
@@ -146,17 +146,29 @@ class CanonicalSpScratch {
   Vertex first_hop(Vertex v) const {
     return first_hop_[static_cast<std::size_t>(v)];
   }
+  /// True iff more than one minimal-(hops, wsum) path reaches v: some
+  /// vertex on v's canonical path, v included, has two or more admissible
+  /// arcs from the previous level that attain its wsum. When false, the
+  /// canonical path is the only minimal one, so any rule that picks a
+  /// minimal path — whatever its tie-break — picks this one. Only a run
+  /// with `track_ties` sets the flags.
+  bool tied(Vertex v) const {
+    FTB_DCHECK(ties_valid_);
+    return tie_[static_cast<std::size_t>(v)] != 0;
+  }
   /// Reachable vertices: source first, then level by level ascending by id.
   std::span<const Vertex> order() const { return bfs_.order(); }
 
  private:
   friend void canonical_sp_run(const Graph&, const EdgeWeights&, Vertex,
                                const BfsBans&, CanonicalSpScratch&,
-                               std::int32_t);
+                               std::int32_t, bool);
 
   BfsScratch bfs_;
   std::vector<std::uint64_t> wsum_;
   std::vector<Vertex> first_hop_;
+  std::vector<std::uint8_t> tie_;
+  bool ties_valid_ = false;
 };
 
 /// Method-style views over the two canonical-SP realizations, so consumers
@@ -201,9 +213,11 @@ struct CanonicalSpScratchView {
 /// vertex with hops ≤ depth_limit; deeper vertices stay unreached. The
 /// replacement engines cap at max_rep_dist − 1 — a detour label beyond that
 /// can never be consumed (any candidate using one would need
-/// j + hops > max_rep_dist, which no failing edge matches).
+/// j + hops > max_rep_dist, which no failing edge matches). `track_ties`
+/// also sets the `tied` flags, on the same vertices.
 void canonical_sp_run(const Graph& g, const EdgeWeights& weights, Vertex src,
                       const BfsBans& bans, CanonicalSpScratch& scratch,
-                      std::int32_t depth_limit = kInfHops);
+                      std::int32_t depth_limit = kInfHops,
+                      bool track_ties = false);
 
 }  // namespace ftb

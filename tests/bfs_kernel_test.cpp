@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/core/dist_sweep.hpp"
@@ -219,6 +220,70 @@ TEST(CanonicalKernel, MatchesReferenceUnderBansAndEqualWeights) {
       ASSERT_EQ(scratch.parent_edge(v), ref.parent_edge[vi]) << fc.name;
     }
   }
+}
+
+/// The kernel's tie flag against a brute-force count: v is tied iff some
+/// vertex on its canonical path (v included) has two or more admissible
+/// arcs from the previous level whose wsum sum equals its own. Returns the
+/// number of tied vertices, so callers can tell a vacuous check.
+std::int64_t expect_tie_flags_match_brute_force(const Graph& g,
+                                                const EdgeWeights& w,
+                                                Vertex src,
+                                                const BfsBans& bans,
+                                                std::int32_t depth_limit,
+                                                const std::string& label) {
+  CanonicalSpScratch sp;
+  canonical_sp_run(g, w, src, bans, sp, depth_limit, /*track_ties=*/true);
+  const auto minimal_parents = [&](Vertex v) {
+    int count = 0;
+    for (const Arc& a : g.neighbors(v)) {
+      if (bans.edge_banned(a.edge) || !sp.reachable(a.to)) continue;
+      if (sp.hops(a.to) + 1 == sp.hops(v) &&
+          sp.wsum(a.to) + w[a.edge] == sp.wsum(v)) {
+        ++count;
+      }
+    }
+    return count;
+  };
+  std::int64_t tied = 0;
+  for (const Vertex v : sp.order()) {
+    bool want = false;
+    for (Vertex u = v; u != src; u = sp.parent(u)) {
+      want = want || minimal_parents(u) >= 2;
+    }
+    EXPECT_EQ(sp.tied(v), want) << label << " v=" << v;
+    tied += want ? 1 : 0;
+  }
+  return tied;
+}
+
+TEST(CanonicalKernel, TieFlagMatchesBruteForceCount) {
+  std::int64_t equal_ties = 0;
+  for (auto& fc : test::small_families()) {
+    const Graph& g = fc.graph;
+    EdgeWeights equal;
+    equal.w.assign(static_cast<std::size_t>(g.num_edges()), 7);
+    const EdgeWeights random = EdgeWeights::uniform_random(g, 77);
+    // A banned vertex and edge, so bans must not count as parents.
+    std::vector<std::uint8_t> vmask(static_cast<std::size_t>(g.num_vertices()),
+                                    0);
+    if (g.num_vertices() > 2) {
+      vmask[static_cast<std::size_t>((fc.source + 1) % g.num_vertices())] = 1;
+    }
+    BfsBans bans;
+    bans.banned_vertex = &vmask;
+    bans.banned_edge = g.num_edges() > 0 ? g.num_edges() / 2 : kInvalidEdge;
+    for (const BfsBans& b : {BfsBans{}, bans}) {
+      for (const std::int32_t cap : {kInfHops, 2}) {
+        equal_ties += expect_tie_flags_match_brute_force(
+            g, equal, fc.source, b, cap, fc.name + " equal");
+        expect_tie_flags_match_brute_force(g, random, fc.source, b, cap,
+                                           fc.name + " random");
+      }
+    }
+  }
+  // Equal weights tie on every grid and clique: the check is not vacuous.
+  EXPECT_GT(equal_ties, 0);
 }
 
 // ---- subtree-seeded replacement sweep --------------------------------------

@@ -36,40 +36,69 @@
 namespace ftb {
 namespace {
 
+/// Builds `cfg`'s engine twice — scratch kernels with shared detour sweeps,
+/// and the reference kernels — and asserts byte-identity: every pair field
+/// (arena offsets included), every detour vertex, every pair count. Leaves
+/// the scratch engine's stats in `os` for the callers' work-counter checks.
 template <class Model>
-void expect_engines_bit_identical(const BfsTree& tree) {
-  typename FaultReplacementEngine<Model>::Config ref_cfg, opt_cfg;
-  ref_cfg.reference_kernel = true;
-  const FaultReplacementEngine<Model> ref(tree, ref_cfg);
-  // Both kernel paths of the optimized engine.
-  for (const bool incremental : {true, false}) {
-    opt_cfg.incremental_dist = incremental;
-    const FaultReplacementEngine<Model> opt(tree, opt_cfg);
+void expect_matches_reference(
+    const BfsTree& tree, typename FaultReplacementEngine<Model>::Config cfg,
+    typename FaultReplacementEngine<Model>::Stats& os) {
+  const FaultReplacementEngine<Model> opt(tree, cfg);
+  cfg.reference_kernel = true;
+  const FaultReplacementEngine<Model> ref(tree, cfg);
 
-    const auto& rp = ref.uncovered_pairs();
-    const auto& op = opt.uncovered_pairs();
-    ASSERT_EQ(rp.size(), op.size());
-    for (std::size_t i = 0; i < rp.size(); ++i) {
-      ASSERT_EQ(rp[i].v, op[i].v) << i;
-      ASSERT_EQ(Model::fault_of(rp[i]), Model::fault_of(op[i])) << i;
-      ASSERT_EQ(Model::pos_of(rp[i]), Model::pos_of(op[i])) << i;
-      ASSERT_EQ(rp[i].rep_dist, op[i].rep_dist) << i;
-      ASSERT_EQ(rp[i].diverge, op[i].diverge) << i;
-      ASSERT_EQ(rp[i].diverge_depth, op[i].diverge_depth) << i;
-      ASSERT_EQ(rp[i].last_edge, op[i].last_edge) << i;
-      ASSERT_EQ(rp[i].detour_len, op[i].detour_len) << i;
+  const auto& rp = ref.uncovered_pairs();
+  const auto& op = opt.uncovered_pairs();
+  EXPECT_EQ(rp.size(), op.size());
+  for (std::size_t i = 0; i < std::min(rp.size(), op.size()); ++i) {
+    ASSERT_EQ(rp[i].v, op[i].v) << i;
+    ASSERT_EQ(Model::fault_of(rp[i]), Model::fault_of(op[i])) << i;
+    ASSERT_EQ(Model::pos_of(rp[i]), Model::pos_of(op[i])) << i;
+    ASSERT_EQ(rp[i].rep_dist, op[i].rep_dist) << i;
+    ASSERT_EQ(rp[i].diverge, op[i].diverge) << i;
+    ASSERT_EQ(rp[i].diverge_depth, op[i].diverge_depth) << i;
+    ASSERT_EQ(rp[i].last_edge, op[i].last_edge) << i;
+    ASSERT_EQ(rp[i].detour_len, op[i].detour_len) << i;
+    ASSERT_EQ(rp[i].detour_begin, op[i].detour_begin) << i;
+    ASSERT_EQ(rp[i].detour_end, op[i].detour_end) << i;
+    if (cfg.collect_detours) {
       const auto rd = ref.detour(rp[i]);
       const auto od = opt.detour(op[i]);
       ASSERT_TRUE(std::equal(rd.begin(), rd.end(), od.begin(), od.end()))
           << i;
     }
-    const auto& rs = ref.stats();
-    const auto& os = opt.stats();
-    EXPECT_EQ(rs.pairs_total, os.pairs_total);
-    EXPECT_EQ(rs.pairs_covered, os.pairs_covered);
-    EXPECT_EQ(rs.pairs_uncovered, os.pairs_uncovered);
-    EXPECT_EQ(rs.pairs_infinite, os.pairs_infinite);
-    EXPECT_EQ(rs.detour_vertices, os.detour_vertices);
+  }
+  const auto& rs = ref.stats();
+  os = opt.stats();
+  EXPECT_EQ(rs.pairs_total, os.pairs_total);
+  EXPECT_EQ(rs.pairs_covered, os.pairs_covered);
+  EXPECT_EQ(rs.pairs_uncovered, os.pairs_uncovered);
+  EXPECT_EQ(rs.pairs_infinite, os.pairs_infinite);
+  EXPECT_EQ(rs.detour_vertices, os.detour_vertices);
+  // The referee runs one sweep per terminal and shares none.
+  EXPECT_EQ(rs.shared_sweeps, 0);
+  EXPECT_EQ(rs.shared_terminals, 0);
+  // Every terminal with pairs is served once: by its group's shared
+  // sweeps, or by a forward sweep of its own (tie fallbacks included).
+  std::vector<Vertex> terminals;
+  for (const auto& p : op) {
+    if (terminals.empty() || terminals.back() != p.v) terminals.push_back(p.v);
+  }
+  EXPECT_EQ(os.shared_terminals + os.forward_sweeps,
+            static_cast<std::int64_t>(terminals.size()));
+  EXPECT_LE(os.tie_fallbacks, os.forward_sweeps);
+  EXPECT_EQ(os.shared_sweeps == 0, os.shared_terminals + os.tie_fallbacks == 0);
+}
+
+template <class Model>
+void expect_engines_bit_identical(const BfsTree& tree) {
+  // Both kernel paths of the optimized engine.
+  for (const bool incremental : {true, false}) {
+    typename FaultReplacementEngine<Model>::Config cfg;
+    cfg.incremental_dist = incremental;
+    typename FaultReplacementEngine<Model>::Stats st;
+    expect_matches_reference<Model>(tree, cfg, st);
   }
 }
 
@@ -231,6 +260,159 @@ INSTANTIATE_TEST_SUITE_P(
     Families, FaultModelFamilyTest,
     ::testing::Range<std::size_t>(0, sweep_cases().size()),
     [](const auto& pinfo) { return sweep_cases()[pinfo.param].name(); });
+
+// ---- shared detour sweeps --------------------------------------------------
+//
+// In the paper's lower-bound graph (Theorem 5.1) every X_i vertex is a
+// child of v*_i, so the X block is one sibling group whose per-terminal
+// sweeps each cross the X×Z biclique: the engine serves it with shared
+// sweeps, and the reference kernels referee every pair.
+
+// At ε = 1/2 the graph is one copy whose X block is its bulk, and the rule
+// shares it. At ε = 1/3 each of the k ≥ 6 copies holds about 1/k of m, so a
+// block's forward sweeps cost less than shared sweeps over all of G and the
+// rule leaves every block forward.
+struct LbCase {
+  Vertex n;
+  double eps;
+  bool shares;
+};
+const LbCase kLbCases[] = {{300, 1.0 / 3, false}, {700, 1.0 / 3, false},
+                           {300, 0.5, true},      {700, 0.5, true},
+                           {1200, 0.5, true}};
+
+template <class Model>
+void expect_lb_groups_shared(bool equal_weights) {
+  for (const LbCase& c : kLbCases) {
+    const lb::SingleSourceLb lbg = lb::build_single_source(c.n, c.eps);
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " eps=" + std::to_string(c.eps));
+    EdgeWeights w = EdgeWeights::uniform_random(lbg.graph, 51);
+    if (equal_weights) std::fill(w.w.begin(), w.w.end(), 1);
+    const BfsTree tree(lbg.graph, w, lbg.source);
+    typename FaultReplacementEngine<Model>::Stats st;
+    expect_matches_reference<Model>(tree, {}, st);
+    if (!c.shares) {
+      EXPECT_EQ(st.shared_sweeps, 0);
+      continue;
+    }
+    EXPECT_GT(st.shared_sweeps, 0);
+    // The X block: |X| members, each a forward sweep that is now shared.
+    std::size_t block = 0;
+    for (const lb::LbCopy& copy : lbg.copies) block += copy.x.size();
+    if (equal_weights) {
+      // Every root-split label in the X block is tied (many x' and z give
+      // equal paths), so no member keeps its shared answer.
+      EXPECT_EQ(st.shared_terminals, 0);
+      EXPECT_GT(st.tie_fallbacks, static_cast<std::int64_t>(block) / 2);
+    } else {
+      EXPECT_GE(st.shared_terminals, static_cast<std::int64_t>(block));
+      EXPECT_EQ(st.tie_fallbacks, 0);
+      EXPECT_LT(st.forward_sweeps + st.shared_sweeps,
+                static_cast<std::int64_t>(block) / 4);
+    }
+  }
+}
+
+TEST(SharedDetourSweeps, LowerBoundGraphEdgeModelMatchesReference) {
+  expect_lb_groups_shared<EdgeFault>(false);
+}
+
+TEST(SharedDetourSweeps, LowerBoundGraphVertexModelMatchesReference) {
+  expect_lb_groups_shared<VertexFault>(false);
+}
+
+TEST(SharedDetourSweeps, EqualWeightsFallBackAndStillMatch) {
+  expect_lb_groups_shared<EdgeFault>(true);
+}
+
+TEST(SharedDetourSweeps, TieBelowTheParentFallsBack) {
+  // s = 0 has two equal detours to z, s–2–5–z and s–3–4–z, and z is
+  // adjacent to the whole block X = children of p = 1. With equal weights
+  // every member's detour from s is tied at z, and the two tie-breaks
+  // disagree: the forward rule keeps the first arc out of s (via 2), the
+  // shared sweep from s keeps z's lower parent (4, via 3). Only the tie
+  // fallback keeps the output identical.
+  constexpr Vertex kZ = 6, kFirstX = 7, kBlock = 200;
+  GraphBuilder b(kFirstX + kBlock);
+  b.add_edge(0, 1);
+  for (const auto& [u, v] :
+       {std::pair{0, 2}, {2, 5}, {5, kZ}, {0, 3}, {3, 4}, {4, kZ}}) {
+    b.add_edge(u, v);
+  }
+  for (Vertex x = kFirstX; x < kFirstX + kBlock; ++x) {
+    b.add_edge(1, x);
+    b.add_edge(kZ, x);
+  }
+  const Graph g = b.build();
+  EdgeWeights w;
+  w.w.assign(static_cast<std::size_t>(g.num_edges()), 1);
+  const BfsTree tree(g, w, 0);
+  FaultReplacementEngine<EdgeFault>::Stats st;
+  expect_matches_reference<EdgeFault>(tree, {}, st);
+  EXPECT_GT(st.shared_sweeps, 0);
+  EXPECT_EQ(st.shared_terminals, 0);
+  EXPECT_EQ(st.tie_fallbacks, kBlock);
+}
+
+TEST(SharedDetourSweeps, RestrictedPuncturedEnginesMatchReference) {
+  // The dual pipeline's engines: a punctured tree, the ambient first
+  // failure banned, and the terminals restricted to its T0 subtree. Cutting
+  // a costly π edge hangs the X block under a side path's z, where it is
+  // again one sibling group.
+  const lb::SingleSourceLb lbg = lb::build_single_source(700, 0.5);
+  const Graph& g = lbg.graph;
+  const EdgeWeights w = EdgeWeights::uniform_random(g, 52);
+  const BfsTree tree(g, w, lbg.source);
+  std::int64_t shared = 0;
+  for (const EdgeId f : lbg.pi_edges) {
+    BfsBans bans;
+    bans.banned_edge = f;
+    const BfsTree punctured(g, w, lbg.source, bans);
+    const auto run = [&](auto model_tag) {
+      using Model = decltype(model_tag);
+      typename FaultReplacementEngine<Model>::Config cfg;
+      cfg.ambient_banned_edge = f;
+      cfg.restrict_terminals = tree.subtree(tree.lower_endpoint(f));
+      typename FaultReplacementEngine<Model>::Stats st;
+      expect_matches_reference<Model>(punctured, cfg, st);
+      shared += st.shared_terminals;
+      cfg.collect_detours = false;
+      expect_matches_reference<Model>(punctured, cfg, st);
+    };
+    run(EdgeFault{});
+    run(VertexFault{});
+  }
+  EXPECT_GT(shared, 0);
+}
+
+TEST(SharedDetourSweeps, RmatGroupsStayForward) {
+  // Hub-sourced R-MAT: sibling groups are many but their forward sweeps
+  // are cheap next to a full pass over m, so the rule shares none — in the
+  // full engines and in the dual pipeline's restricted ones alike.
+  const Graph g = gen::rmat_connected(10, 4 << 10, 1);
+  const EdgeWeights w = EdgeWeights::uniform_random(g, 53);
+  for (const Vertex s : test::hub_sources(g, 2)) {
+    const BfsTree tree(g, w, s);
+    FaultReplacementEngine<EdgeFault>::Stats st;
+    expect_matches_reference<EdgeFault>(tree, {}, st);
+    EXPECT_EQ(st.shared_sweeps, 0);
+    EXPECT_EQ(st.shared_terminals, 0);
+    EXPECT_GT(st.forward_sweeps, 0);
+
+    const auto& tree_edges = tree.tree_edges();
+    for (std::size_t i = 0; i < tree_edges.size(); i += 37) {
+      const EdgeId f = tree_edges[i];
+      BfsBans bans;
+      bans.banned_edge = f;
+      const BfsTree punctured(g, w, s, bans);
+      FaultReplacementEngine<EdgeFault>::Config cfg;
+      cfg.ambient_banned_edge = f;
+      cfg.restrict_terminals = tree.subtree(tree.lower_endpoint(f));
+      expect_matches_reference<EdgeFault>(punctured, cfg, st);
+      EXPECT_EQ(st.shared_sweeps, 0) << "f=" << f;
+    }
+  }
+}
 
 // ---- the punctured-tree workspace -----------------------------------------
 

@@ -2,7 +2,8 @@
 //
 // Ground truth here is always a literal BFS on a literally-modified graph;
 // the engine's tables, covered tests, divergence points and detours must
-// reproduce it exactly (Claims 4.4–4.6 and the DESIGN.md equivalences).
+// reproduce it exactly (Claims 4.4–4.6 and the equivalences of
+// docs/architecture.md § Detours).
 #include <gtest/gtest.h>
 
 #include <algorithm>

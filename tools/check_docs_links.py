@@ -10,8 +10,14 @@ every path-looking inline code reference of the form ``docs/...``,
 ``src/...`` or ``tools/...`` (backtick-quoted) exists, which is how stale
 references to renamed headers/entry points in prose get caught.
 
+Source files (C++, Python, shell) among the arguments are scanned for the
+``*.md`` names their comments cite (``docs/architecture.md``,
+``file_formats.md``, ...): each must resolve from the repository root, the
+citing file's directory, or ``docs/``, so a comment cannot point readers at
+a document that does not exist.
+
 Exit code 0 when everything resolves; 1 with a per-link report otherwise.
-Usage: check_docs_links.py README.md docs [more files or dirs...]
+Usage: check_docs_links.py README.md docs src tests [more files or dirs...]
 """
 import os
 import re
@@ -20,18 +26,32 @@ import sys
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 REFDEF_RE = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 CODEPATH_RE = re.compile(r"`((?:docs|src|tools|bench|tests|examples)/[A-Za-z0-9_./-]+)`")
+MD_CITE_RE = re.compile(r"(?<![A-Za-z0-9_./-])([A-Za-z0-9_./-]+\.md)\b")
 EXTERNAL = ("http://", "https://", "mailto:")
+SOURCE_EXT = (".cpp", ".hpp", ".h", ".cc", ".py", ".sh")
 
 
-def collect_markdown(paths):
+def collect(paths, exts):
     for p in paths:
         if os.path.isdir(p):
             for root, _dirs, files in os.walk(p):
                 for f in sorted(files):
-                    if f.endswith(".md"):
+                    if f.endswith(exts):
                         yield os.path.join(root, f)
-        else:
+        elif p.endswith(exts):
             yield p
+
+
+def check_source_citations(path, repo_root):
+    """Every *.md name cited in a source file must name a real document."""
+    errors = []
+    text = open(path, encoding="utf-8").read()
+    bases = (repo_root, os.path.dirname(path), os.path.join(repo_root, "docs"))
+    for m in MD_CITE_RE.finditer(text):
+        cited = m.group(1)
+        if not any(os.path.exists(os.path.join(b, cited)) for b in bases):
+            errors.append(f"{path}: cites missing document -> {cited}")
+    return errors
 
 
 def check_file(path, repo_root):
@@ -85,15 +105,18 @@ def main(argv):
     repo_root = os.getcwd()
     errors = []
     checked = 0
-    for md in collect_markdown(argv[1:]):
+    for md in collect(argv[1:], (".md",)):
         checked += 1
         errors.extend(check_file(md, repo_root))
+    for src in collect(argv[1:], SOURCE_EXT):
+        checked += 1
+        errors.extend(check_source_citations(src, repo_root))
     if errors:
         print("\n".join(errors))
         print(f"\n{len(errors)} broken reference(s) across {checked} file(s)")
         return 1
-    print(f"checked {checked} markdown file(s): all links and path "
-          "references resolve")
+    print(f"checked {checked} file(s): all links, path references and "
+          "document citations resolve")
     return 0
 
 
